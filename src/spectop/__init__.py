@@ -8,7 +8,7 @@ the local-to-global principle and residue-field generation.
 """
 
 from .analysis import (Analysis, FieldsGenerate, Ltg, RingMeta, Verdict,
-                       analyze, evaluate, verdict_fields, verdict_ltg)
+                       analyze, evaluate, verdict_ltg)
 from .bench import BenchResult, cb_layering, longest_path_rank, run_bench
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Cantor, CoFan, Con,
                   Dual, Fan, Fin, OmegaPlusOne, SpaceExpr, Sum, Tower,
@@ -25,9 +25,6 @@ from .oracle import (ExplicitTopology, SuiteConfig, SuiteReport,
                      run_property_suite)
 from .ordinal import OMEGA as OMEGA_ORDINAL
 from .ordinal import ONE, ZERO, Ordinal, compare, ordinal_max, parse_cnf
-from .poset import (FinitePoset, Subspace, cb_derivative, cb_rank, closure,
-                    construct_poset, dual_poset, export,
-                    find_isolated_constructive, is_open, isolated_points,
-                    scattered_via_closed_subsets, td_witness)
+from .poset import FinitePoset, construct_poset, export
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or resolution
-error, 3 metadata conflict, 4 resource refusal.  ``--json`` switches
-every command to line-delimited JSON on stdout.
+error, 3 metadata conflict, 4 resource refusal (size budgets and nesting
+deeper than the recursion limit).  ``--json`` switches every command to
+line-delimited JSON on stdout.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from .analysis import RingMeta, analyze, evaluate
 from .bench import DEFAULT_NODE_BUDGET, read_edge_list, run_bench
 from .dsl import Fin, Sum, normalize, parse_expr, print_expr
 from .errors import ConflictError, CycleError, ParseError, SizeError, SpectopError
-from .gallery import OMEGA, catalog, get_entry
+from .gallery import NAMES, OMEGA, catalog, get_entry
 from .oracle import SuiteConfig, run_property_suite
 from .poset import export as export_poset
-
-_GALLERY_NAMES = ("fan", "idempotent", "valuation_rank1", "neeman_ring", "integers_like")
 
 
 def _parse_n(raw: str | None):
@@ -48,7 +47,7 @@ def _resolve_target(args):
     """A target is a gallery name, an expression, or '@file'; returns
     (space, meta, known_fields, entry_or_none)."""
     target = args.target
-    if target in _GALLERY_NAMES:
+    if target in NAMES:
         entry = get_entry(target, _parse_n(args.n))
         space, meta = entry.space, entry.meta
         known = entry.known_truth.fields if entry.known_truth else None
@@ -309,6 +308,9 @@ def main(argv=None) -> int:
         return 3
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("error: input nested deeper than the recursion limit", file=sys.stderr)
         return 4
     except (SpectopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,16 +164,6 @@ def is_normal(e: SpaceExpr) -> bool:
             return True
 
 
-def node_count(e: SpaceExpr) -> int:
-    match e:
-        case Sum(left, right):
-            return 1 + node_count(left) + node_count(right)
-        case Dual(inner) | Con(inner):
-            return 1 + node_count(inner)
-        case _:
-            return 1
-
-
 # -- printing --------------------------------------------------------------
 
 

@@ -192,6 +192,11 @@ def catalog() -> list[RingEntry]:
     return [fan_ring(OMEGA), idempotent_ring(OMEGA)] + curated_examples()
 
 
+# every name get_entry resolves; computed once, since building the catalog
+# costs a sizeable share of a typical CLI request
+NAMES = frozenset(entry.name for entry in catalog())
+
+
 def get_entry(name: str, n=None) -> RingEntry:
     """Resolve a gallery entry by name; parametric families accept ``n``."""
     if name == "fan":

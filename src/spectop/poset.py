@@ -11,16 +11,17 @@ every operation below is documented against this one.
 
 Reachability is stored as per-element closure sets for posets of at most
 ``CLOSURE_LIMIT`` elements and recomputed by traversal above that size;
-both representations sit behind the same methods.  Values are immutable
-after construction and all operations are pure; the two lazily cached
-derived values (layers and height) are recomputed idempotently, so
-instances are safe to share across threads.
+both representations sit behind ``leq`` and the two closure helpers.  The
+constructor peels the poset once, frontier by frontier (Kahn 1962): the
+frontiers are the Cantor-Bendixson layers and their concatenation is the
+topological order.  Values are immutable after construction and all
+operations are pure; the one lazily cached value (height) is recomputed
+idempotently, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError
@@ -56,7 +57,23 @@ class FinitePoset:
             self._up_adj[a].append(b)
             self._down_adj[b].append(a)
 
-        self._topo = self._toposort()  # raises CycleError on a cycle
+        # one peel: frontier k holds the points removed by the k-th derivative
+        indeg = [len(below) for below in self._down_adj]
+        frontier = [v for v in range(n) if not indeg[v]]
+        layers: list[list[int]] = []
+        while frontier:
+            layers.append(frontier)
+            nxt = []
+            for v in frontier:
+                for w in self._up_adj[v]:
+                    indeg[w] -= 1
+                    if not indeg[w]:
+                        nxt.append(w)
+            frontier = nxt
+        self._topo = [v for layer in layers for v in layer]
+        if len(self._topo) != n:
+            raise CycleError("covering relation contains a cycle")
+        self._layers = layers
 
         if n <= CLOSURE_LIMIT:
             up_sets: list[frozenset[int]] = [frozenset()] * n
@@ -93,28 +110,7 @@ class FinitePoset:
             self._down_sets = None
             self._covers = tuple(pairs)
 
-        self._layers: list[frozenset[int]] | None = None
         self._height: int | None = None
-
-    # -- construction helpers ------------------------------------------
-
-    def _toposort(self) -> list[int]:
-        n = len(self._labels)
-        indeg = [len(self._down_adj[v]) for v in range(n)]
-        queue = [v for v in range(n) if indeg[v] == 0]
-        order: list[int] = []
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in self._up_adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != n:
-            raise CycleError("covering relation contains a cycle")
-        return order
 
     # -- basics --------------------------------------------------------
 
@@ -209,16 +205,10 @@ class FinitePoset:
         return all(u in s for x in s for u in self._up_adj[x])
 
     def _isolated_idx(self, s: frozenset[int]) -> frozenset[int]:
-        # isolated in the subspace s <=> minimal within the induced order
-        if self._down_sets is not None:
-            return frozenset(x for x in s if len(self._down_sets[x] & s) == 1)
-        out = []
-        for x in s:
-            below = self._reach(frozenset([x]), self._down_adj)
-            below.discard(x)
-            if not (below & s):
-                out.append(x)
-        return frozenset(out)
+        # isolated in the subspace s <=> minimal within the induced order,
+        # i.e. not strictly above another point of s
+        above = frozenset(w for x in s for w in self._up_adj[x])
+        return s - self._up_closure_idx(above)
 
     def isolated_in(self, subset: Iterable[Label]) -> frozenset[Label]:
         """The points of ``subset`` isolated in its subspace topology."""
@@ -233,28 +223,11 @@ class FinitePoset:
 
     def cb_layers(self) -> list[frozenset[Label]]:
         """Peeling layers: layer k holds the points removed by the k-th
-        derivative.  Computed by iterated removal of minimal elements."""
-        if self._layers is None:
-            n = len(self._labels)
-            indeg = [len(self._down_adj[v]) for v in range(n)]
-            frontier = [v for v in range(n) if indeg[v] == 0]
-            layers: list[frozenset[int]] = []
-            while frontier:
-                layers.append(frozenset(frontier))
-                nxt = []
-                for v in frontier:
-                    for w in self._up_adj[v]:
-                        indeg[w] -= 1
-                        if indeg[w] == 0:
-                            nxt.append(w)
-                frontier = nxt
-            self._layers = layers
+        derivative, i.e. the k-th frontier of the constructor's peel."""
         return [self._label_set(layer) for layer in self._layers]
 
     def rank_int(self) -> int:
         """Least k with the k-th derivative empty (0 for the empty poset)."""
-        self.cb_layers()
-        assert self._layers is not None
         return len(self._layers)
 
     def rank(self) -> Ordinal:
@@ -264,7 +237,8 @@ class FinitePoset:
         """Longest chain, counted in edges; -1 for the empty poset.
 
         Computed by a longest-path pass over the covers in topological
-        order, independently of the peeling above.
+        order.  It uses the peel's order but not its layer count, so it
+        checks ``rank_int`` independently.
         """
         if self._height is None:
             n = len(self._labels)
@@ -388,13 +362,9 @@ class FinitePoset:
         return True
 
     def _kernel_is_empty(self) -> bool:
-        s = frozenset(range(len(self._labels)))
-        while s:
-            iso = self._isolated_idx(s)
-            if not iso:
-                return False
-            s = s - iso
-        return True
+        # the stored layers are the successive derivatives of the space, so
+        # the perfect kernel is empty iff they cover every point
+        return sum(map(len, self._layers)) == len(self._labels)
 
     # -- combination ---------------------------------------------------------
 
@@ -442,24 +412,6 @@ class FinitePoset:
         return construct_poset(data["labels"], [tuple(c) for c in data["covers"]])
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subset of a poset carrying the subspace topology."""
-
-    parent: FinitePoset
-    members: frozenset[Label]
-
-    def __post_init__(self):
-        for x in self.members:
-            self.parent.index(x)
-
-    def isolated_points(self) -> frozenset[Label]:
-        return self.parent.isolated_in(self.members)
-
-    def cb_derivative(self) -> "Subspace":
-        return Subspace(self.parent, self.parent.derivative_in(self.members))
-
-
 # -- module-level operation surface ------------------------------------------
 
 
@@ -478,42 +430,6 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
             raise UnknownLabelError(f"unknown element {b!r}")
         pairs.append((index[a], index[b]))
     return FinitePoset(labels, pairs)
-
-
-def closure(poset: FinitePoset, subset: Iterable[Label]) -> frozenset[Label]:
-    return poset.closure(subset)
-
-
-def is_open(poset: FinitePoset, subset: Iterable[Label]) -> bool:
-    return poset.is_open(subset)
-
-
-def isolated_points(subspace: Subspace) -> frozenset[Label]:
-    return subspace.isolated_points()
-
-
-def cb_derivative(subspace: Subspace) -> Subspace:
-    return subspace.cb_derivative()
-
-
-def cb_rank(poset: FinitePoset) -> Ordinal:
-    return poset.rank()
-
-
-def dual_poset(poset: FinitePoset) -> FinitePoset:
-    return poset.dual()
-
-
-def td_witness(poset: FinitePoset, x: Label) -> tuple[frozenset[Label], bool]:
-    return poset.td_witness(x)
-
-
-def scattered_via_closed_subsets(poset: FinitePoset, upset_budget: int = 1 << 16) -> bool:
-    return poset.scattered_via_closed_subsets(upset_budget)
-
-
-def find_isolated_constructive(poset: FinitePoset) -> tuple[Label, frozenset[Label], frozenset[Label]]:
-    return poset.find_isolated()
 
 
 def export(poset: FinitePoset, fmt: str) -> str:

@@ -4,8 +4,7 @@ from hypothesis import given
 from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Analysis, Con,
                      ConflictError, Dual, FieldsGenerate, Fin, Ltg, Ordinal,
                      RingMeta, Sum, Tower, analyze, construct_poset, evaluate,
-                     normalize, parse_cnf, parse_expr, verdict_fields,
-                     verdict_ltg)
+                     normalize, parse_cnf, parse_expr, verdict_ltg)
 from spectop.analysis import (CITE_ABS_FLAT, CITE_GABRIEL, CITE_LTG,
                               CITE_LTG_OBSTRUCTION, CITE_OBSTRUCTION)
 
@@ -91,25 +90,25 @@ def test_verdict_ltg_examples():
 
 
 def test_verdict_fields_obstruction():
-    assert verdict_fields(CANTOR) is FieldsGenerate.DOES_NOT_GENERATE
+    assert evaluate(CANTOR).fields_generate is FieldsGenerate.DOES_NOT_GENERATE
 
 
 def test_verdict_fields_gabriel_rule():
     assert (
-        verdict_fields(FAN, RingMeta(has_gabriel_dimension=True))
+        evaluate(FAN, RingMeta(has_gabriel_dimension=True)).fields_generate
         is FieldsGenerate.GENERATES
     )
 
 
 def test_verdict_fields_inconclusive():
-    assert verdict_fields(parse_expr("fin{a,b;a<b}")) is FieldsGenerate.INCONCLUSIVE
+    assert evaluate(parse_expr("fin{a,b;a<b}")).fields_generate is FieldsGenerate.INCONCLUSIVE
 
 
 def test_verdict_fields_absolutely_flat_rule():
     flat = RingMeta(absolutely_flat=True)
-    assert verdict_fields(CANTOR, flat) is FieldsGenerate.DOES_NOT_GENERATE
+    assert evaluate(CANTOR, flat).fields_generate is FieldsGenerate.DOES_NOT_GENERATE
     discrete = Fin(construct_poset(["a", "b"], []))
-    assert verdict_fields(discrete, flat) is FieldsGenerate.GENERATES
+    assert evaluate(discrete, flat).fields_generate is FieldsGenerate.GENERATES
 
 
 def test_verdict_citations():
@@ -136,6 +135,25 @@ def test_conflict_known_truth_contradictions():
             RingMeta(has_gabriel_dimension=True),
             known_fields=FieldsGenerate.DOES_NOT_GENERATE,
         )
+
+
+@pytest.mark.parametrize("meta", [RingMeta(absolutely_flat=True),
+                                  RingMeta(has_gabriel_dimension=True),
+                                  RingMeta(absolutely_flat=True, has_gabriel_dimension=True)])
+def test_conflict_any_decided_verdict_against_known_truth(meta):
+    # a scattered patch space: absolutely flat or Gabriel both derive Generates
+    two_chain = parse_expr("fin{zero,m;zero<m}")
+    for known in (None, FieldsGenerate.GENERATES):
+        verdict = evaluate(two_chain, meta, known_fields=known)
+        assert verdict.fields_generate is FieldsGenerate.GENERATES
+    with pytest.raises(ConflictError):
+        evaluate(two_chain, meta, known_fields=FieldsGenerate.DOES_NOT_GENERATE)
+
+
+def test_inconclusive_never_conflicts_with_known_truth():
+    two_chain = parse_expr("fin{zero,m;zero<m}")
+    for known in FieldsGenerate:
+        assert evaluate(two_chain, known_fields=known).fields_generate is FieldsGenerate.INCONCLUSIVE
 
 
 def test_serialization_field_names():

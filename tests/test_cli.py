@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from spectop.cli import main
+from spectop.gallery import catalog
 
 
 def run(capsys, *argv):
@@ -70,6 +73,30 @@ def test_verdict_conflict_exit_3(capsys):
     code, _, err = run(capsys, "verdict", "cantor", "--gabriel")
     assert code == 3
     assert "Gabriel" in err
+
+
+@pytest.mark.parametrize("name", ["valuation_rank1", "neeman_ring"])
+@pytest.mark.parametrize("flags", [["--absolutely-flat"], ["--absolutely-flat", "--gabriel"],
+                                   ["--n", "omega", "--absolutely-flat"],
+                                   ["--n", "omega", "--absolutely-flat", "--gabriel"]])
+def test_verdict_against_ground_truth_exit_3(capsys, name, flags):
+    # both rings are known not to generate; these flags would derive Generates
+    code, out, err = run(capsys, "verdict", name, *flags, "--json")
+    assert code == 3 and out == ""
+    assert "DoesNotGenerate" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verdict"])
+def test_deep_nesting_exit_4(capsys, command):
+    code, out, err = run(capsys, command, "dual(" * 3000 + "fan" + ")" * 3000, "--json")
+    assert code == 4 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "nested" in err
+
+
+def test_every_gallery_name_answers_verdict(capsys):
+    for entry in catalog():
+        code, lines, _ = run_json(capsys, "verdict", entry.name)
+        assert code == 0 and lines[0]["target"] == entry.name
 
 
 def test_verdict_resolution_error_exit_2(capsys):

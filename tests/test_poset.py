@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given
 
 from spectop import (CycleError, EmptySpaceError, FinitePoset, Ordinal,
-                     Subspace, UnknownLabelError, cb_derivative, cb_rank,
-                     closure, construct_poset, dual_poset, export,
-                     find_isolated_constructive, is_open, isolated_points,
-                     scattered_via_closed_subsets, td_witness)
+                     UnknownLabelError, construct_poset, export)
 
 from conftest import posets
 
@@ -81,16 +78,16 @@ def test_partial_order_laws(p):
 
 def test_closure_examples():
     p = fan(2)
-    assert closure(p, {"p1"}) == {"p1", "m"}
-    assert closure(p, set()) == set()
-    assert closure(p, {"m"}) == {"m"}
+    assert p.closure({"p1"}) == {"p1", "m"}
+    assert p.closure(set()) == set()
+    assert p.closure({"m"}) == {"m"}
 
 
 def test_is_open_examples():
     p = fan(2)
-    assert is_open(p, {"p1", "p2"})
-    assert not is_open(p, {"m"})
-    assert is_open(p, set())
+    assert p.is_open({"p1", "p2"})
+    assert not p.is_open({"m"})
+    assert p.is_open(set())
 
 
 @given(posets())
@@ -123,23 +120,24 @@ def test_closure_minimality_against_all_closed_sets(p):
 
 def test_isolated_examples():
     anti = construct_poset(["a", "b"], [])
-    assert isolated_points(Subspace(anti, frozenset({"a", "b"}))) == {"a", "b"}
+    assert anti.isolated_in({"a", "b"}) == {"a", "b"}
     two = chain("a", "b")
-    assert isolated_points(Subspace(two, frozenset({"a", "b"}))) == {"a"}
-    assert isolated_points(Subspace(two, frozenset())) == frozenset()
+    assert two.isolated_in({"a", "b"}) == {"a"}
+    assert two.isolated_in(set()) == frozenset()
 
 
 def test_subspace_rejects_foreign_members():
     with pytest.raises(UnknownLabelError):
-        Subspace(chain("a", "b"), frozenset({"z"}))
+        chain("a", "b").isolated_in({"z"})
+    with pytest.raises(UnknownLabelError):
+        chain("a", "b").derivative_in({"a", "z"})
 
 
 def test_derivative_examples():
     p = fan(3)
-    full = Subspace(p, frozenset(p.elements))
-    assert cb_derivative(full).members == {"m"}
-    assert cb_derivative(Subspace(p, frozenset({"m"}))).members == frozenset()
-    assert cb_derivative(Subspace(p, frozenset())).members == frozenset()
+    assert p.derivative_in(p.elements) == {"m"}
+    assert p.derivative_in({"m"}) == frozenset()
+    assert p.derivative_in(set()) == frozenset()
 
 
 def test_isolated_in_subspace_is_minimal_in_induced_order():
@@ -153,9 +151,9 @@ def test_isolated_in_subspace_is_minimal_in_induced_order():
 
 
 def test_rank_examples():
-    assert cb_rank(fan(5)) == Ordinal.from_int(2)
-    assert cb_rank(chain("a", "b", "c")) == Ordinal.from_int(3)
-    assert cb_rank(construct_poset([], [])) == Ordinal.from_int(0)
+    assert fan(5).rank() == Ordinal.from_int(2)
+    assert chain("a", "b", "c").rank() == Ordinal.from_int(3)
+    assert construct_poset([], []).rank() == Ordinal.from_int(0)
 
 
 @given(posets())
@@ -195,24 +193,24 @@ def test_layers_partition_the_space():
 
 
 def test_dual_fan_is_cofan_shape():
-    d = dual_poset(fan(3))
+    d = fan(3).dual()
     assert set(d.covers) == {("m", "p1"), ("m", "p2"), ("m", "p3")}
     assert d.minimal_elements() == ("m",)
 
 
 @given(posets())
 def test_dual_involution(p):
-    assert dual_poset(dual_poset(p)) == p
+    assert p.dual().dual() == p
 
 
 @given(posets())
 def test_dual_preserves_rank(p):
-    assert dual_poset(p).rank_int() == p.rank_int()
+    assert p.dual().rank_int() == p.rank_int()
 
 
 def test_dual_singleton():
     s = construct_poset(["a"], [])
-    assert dual_poset(s) == s
+    assert s.dual() == s
 
 
 # -- separation witnesses ----------------------------------------------------------
@@ -220,12 +218,12 @@ def test_dual_singleton():
 
 def test_td_witness_examples():
     p = fan(2)
-    w, ok = td_witness(p, "p1")
+    w, ok = p.td_witness("p1")
     assert w == {"p1", "p2"} and ok
-    w, ok = td_witness(p, "m")
+    w, ok = p.td_witness("m")
     assert w == {"p1", "p2", "m"} and ok
     anti = construct_poset(["a", "b"], [])
-    w, ok = td_witness(anti, "a")
+    w, ok = anti.td_witness("a")
     assert w == {"a", "b"} and ok
 
 
@@ -239,16 +237,16 @@ def test_td_witness_always_open(p):
 
 def test_td_witness_unknown_point():
     with pytest.raises(UnknownLabelError):
-        td_witness(fan(2), "zz")
+        fan(2).td_witness("zz")
 
 
 # -- scatteredness -------------------------------------------------------------------
 
 
 def test_scattered_examples():
-    assert scattered_via_closed_subsets(fan(4))
-    assert scattered_via_closed_subsets(construct_poset([], []))
-    assert scattered_via_closed_subsets(chain("a", "b", "c"))
+    assert fan(4).scattered_via_closed_subsets()
+    assert construct_poset([], []).scattered_via_closed_subsets()
+    assert chain("a", "b", "c").scattered_via_closed_subsets()
 
 
 @given(posets())
@@ -262,17 +260,17 @@ def test_scattered_enumeration_and_kernel_routes_agree(p):
 
 
 def test_find_isolated_examples():
-    x, u, w = find_isolated_constructive(fan(2))
+    x, u, w = fan(2).find_isolated()
     assert x == "p1" and u == {"p1"} and w == {"p1", "p2"}
-    x, u, w = find_isolated_constructive(chain("a", "b", "c"))
+    x, u, w = chain("a", "b", "c").find_isolated()
     assert x == "a" and u == {"a"} and u & w == {"a"}
     s = construct_poset(["a"], [])
-    assert find_isolated_constructive(s) == ("a", {"a"}, {"a"})
+    assert s.find_isolated() == ("a", {"a"}, {"a"})
 
 
 def test_find_isolated_empty_space():
     with pytest.raises(EmptySpaceError):
-        find_isolated_constructive(construct_poset([], []))
+        construct_poset([], []).find_isolated()
 
 
 @given(posets())
@@ -340,3 +338,19 @@ def test_large_mode_matches_small_mode_semantics():
     x, u, w = big.find_isolated()
     assert x == "p0" and u == {"p0"}
     assert big.scattered_via_closed_subsets(upset_budget=16)
+
+
+@pytest.mark.parametrize("n", [999, 3000])  # on each side of CLOSURE_LIMIT
+@pytest.mark.parametrize("flip", [False, True])
+def test_deep_chain_isolation_and_layers(n, flip):
+    labels = [f"c{i}" for i in range(n)]
+    p = chain(*labels)
+    if flip:
+        p = p.dual()
+        labels.reverse()
+    bottom = labels[0]
+    assert p.isolated_in(p.elements) == {bottom}
+    assert p.derivative_in(p.elements) == frozenset(labels[1:])
+    layers = p.cb_layers()
+    assert len(layers) == n and all(layer == {x} for layer, x in zip(layers, labels))
+    assert p.scattered_via_closed_subsets(upset_budget=0)
