@@ -28,7 +28,9 @@ Rule 1 and rule 3 can never both apply to honestly curated metadata
 combination raises ConflictError instead of silently preferring one.
 Likewise, a decided residue-field verdict that differs from the curated
 ground truth raises ConflictError: one of the flags or the ground truth
-is miscurated.
+is miscurated.  So does the absolutely-flat flag on a space that is not
+Boolean: an absolutely flat ring has a Hausdorff spectrum (Hochster
+1969), which therefore equals its own patch space.
 """
 
 from __future__ import annotations
@@ -175,10 +177,6 @@ def _dual_scattered(n: SpaceExpr) -> bool:
     return _analyze_nf(normalize(Dual(n))).scattered
 
 
-def _con_scattered(n: SpaceExpr) -> bool:
-    return _analyze_nf(normalize(Con(n))).scattered
-
-
 def verdict_ltg(e: SpaceExpr) -> Ltg:
     """Local-to-global verdict for the ring whose spectrum ``e`` denotes."""
     return Ltg.HOLDS if _dual_scattered(normalize(e)) else Ltg.FAILS
@@ -193,7 +191,8 @@ def evaluate(
     module docstring for the rule order.  Raises ConflictError on
     contradictory metadata or ground truth."""
     n = normalize(e)
-    con_scattered = _con_scattered(n)
+    patch = normalize(Con(n))
+    con_scattered = _analyze_nf(patch).scattered
     dual_scattered = _dual_scattered(n)
 
     if meta.has_gabriel_dimension and not con_scattered:
@@ -218,6 +217,11 @@ def evaluate(
     if fields is not FieldsGenerate.INCONCLUSIVE and known_fields not in (None, fields):
         raise ConflictError(
             f"the rules derive {fields.value}, but the ground truth is {known_fields.value}"
+        )
+    if meta.absolutely_flat and n != patch:
+        raise ConflictError(
+            "metadata claims an absolutely flat ring, but the spectrum is not "
+            "Boolean: it differs from its patch space"
         )
 
     ltg = Ltg.HOLDS if dual_scattered else Ltg.FAILS

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import ArityError, ParseError, SpectopError
 from .ordinal import Ordinal, parse_cnf
-from .poset import FinitePoset, construct_poset
+from .poset import IDENTIFIER, FinitePoset, construct_poset
 
 
 @dataclass(frozen=True)
@@ -218,12 +218,12 @@ class _Parser:
     def ident(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
+        match = IDENTIFIER.match(self.text, start)
+        if match is None:
             found = self.text[start] if start < len(self.text) else "end of input"
             raise ParseError(f"expected an identifier, found {found!r}", start)
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def expr(self) -> SpaceExpr:
         self.skip_ws()

@@ -9,27 +9,42 @@ order, the closed sets are the up-sets, and the minimal elements are the
 generic points.  The opposite convention is just as common elsewhere, so
 every operation below is documented against this one.
 
-Reachability is stored as per-element closure sets for posets of at most
-``CLOSURE_LIMIT`` elements and recomputed by traversal above that size;
-both representations sit behind ``leq`` and the two closure helpers.  The
-constructor peels the poset once, frontier by frontier (Kahn 1962): the
-frontiers are the Cantor-Bendixson layers and their concatenation is the
-topological order.  Values are immutable after construction and all
-operations are pure; the one lazily cached value (height) is recomputed
-idempotently, so instances are safe to share across threads.
+Representation
+--------------
+One representation at every size.  The constructor peels the poset once,
+frontier by frontier (Kahn 1962): the frontiers are the Cantor-Bendixson
+layers and their concatenation is the topological order.  Walking that
+order backwards, it stores each point's strict up-set as a Python-int
+bitset over that reverse order (bit k of ``_up[i]`` is set iff
+i < ``_order[k]``), and keeps only the covering pairs of the input
+(transitive reduction, Aho-Garey-Ullman 1972), so equality, hashing,
+``covers`` and the exports never depend on the size.  Numbering the bits
+from the top keeps masks short where up-sets are small: a fan, its dual
+and an antichain take memory linear in their size.  Labels are
+DSL identifiers, so every printed poset parses back.  Values are immutable
+after construction and all operations are pure; the one lazily cached
+value (height) is recomputed idempotently, so instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError
 from .ordinal import Ordinal
 
+# No code path depends on this size.  The benchmark's traced ``verdicts`` pass
+# reads it to label its construction spans small/large, so it stays until then.
 CLOSURE_LIMIT = 1000
 
 Label = str
+
+# A DSL identifier, the token the parser reads and every poset label must be:
+# one or more characters that are ``str.isalnum()`` or "_" (exactly ``\w``).
+IDENTIFIER = re.compile(r"\w+")
 
 
 class FinitePoset:
@@ -75,40 +90,32 @@ class FinitePoset:
             raise CycleError("covering relation contains a cycle")
         self._layers = layers
 
-        if n <= CLOSURE_LIMIT:
-            up_sets: list[frozenset[int]] = [frozenset()] * n
-            for v in reversed(self._topo):
-                s = {v}
-                for w in self._up_adj[v]:
-                    s |= up_sets[w]
-                up_sets[v] = frozenset(s)
-            down_sets: list[frozenset[int]] = [frozenset()] * n
-            for v in self._topo:
-                s = {v}
-                for w in self._down_adj[v]:
-                    s |= down_sets[w]
-                down_sets[v] = frozenset(s)
-            self._up_sets: tuple[frozenset[int], ...] | None = tuple(up_sets)
-            self._down_sets: tuple[frozenset[int], ...] | None = tuple(down_sets)
-            # canonical covers: drop transitive pairs; every true cover must
-            # already be among the input pairs, so filtering them suffices
-            covers = [
-                (a, b)
-                for a, b in pairs
-                if len(up_sets[a] & down_sets[b]) == 2
-            ]
-            self._covers = tuple(covers)
-            if self._covers != tuple(pairs):
-                self._up_adj = [[] for _ in range(n)]
-                self._down_adj = [[] for _ in range(n)]
-                for a, b in self._covers:
-                    self._up_adj[a].append(b)
-                    self._down_adj[b].append(a)
-        else:
-            # large mode: input pairs are trusted as covering edges
-            self._up_sets = None
-            self._down_sets = None
+        # reachability bitsets and canonical covers in one backward pass: taking
+        # a point's successors in peel order, a successor is a cover exactly
+        # when no earlier successor already reaches it
+        order = self._topo[::-1]
+        bit = [0] * n
+        for k, v in enumerate(order):
+            bit[v] = k
+        up = [0] * n
+        covers = []
+        for v in order:
+            reach = 0
+            for w in sorted(self._up_adj[v], key=bit.__getitem__, reverse=True):
+                if not reach >> bit[w] & 1:
+                    covers.append((v, w))
+                    reach |= up[w] | 1 << bit[w]
+            up[v] = reach
+        self._order, self._bit, self._up = order, bit, up
+        if len(covers) == len(pairs):
             self._covers = tuple(pairs)
+        else:
+            self._covers = tuple(sorted(covers))
+            self._up_adj = [[] for _ in range(n)]
+            self._down_adj = [[] for _ in range(n)]
+            for a, b in self._covers:
+                self._up_adj[a].append(b)
+                self._down_adj[b].append(a)
 
         self._height: int | None = None
 
@@ -157,43 +164,26 @@ class FinitePoset:
     def leq(self, a: Label, b: Label) -> bool:
         """True iff a <= b, i.e. b is in the closure of {a}."""
         ia, ib = self.index(a), self.index(b)
-        if self._up_sets is not None:
-            return ib in self._up_sets[ia]
-        return ib in self._reach(frozenset([ia]), self._up_adj)
+        return ia == ib or bool(self._up[ia] >> self._bit[ib] & 1)
 
-    @staticmethod
-    def _reach(start: frozenset[int], adj: list[list[int]]) -> set[int]:
-        seen = set(start)
-        stack = list(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def _up_closure_idx(self, s: frozenset[int]) -> frozenset[int]:
-        if self._up_sets is not None:
-            out: set[int] = set()
-            for i in s:
-                out |= self._up_sets[i]
-            return frozenset(out)
-        return frozenset(self._reach(s, self._up_adj))
-
-    def _down_closure_idx(self, s: frozenset[int]) -> frozenset[int]:
-        if self._down_sets is not None:
-            out: set[int] = set()
-            for i in s:
-                out |= self._down_sets[i]
-            return frozenset(out)
-        return frozenset(self._reach(s, self._down_adj))
+    def _points(self, mask: int) -> list[int]:
+        """The points whose bits are set in ``mask``."""
+        bits = bin(mask)[:1:-1]
+        out = []
+        k = bits.find("1")
+        while k >= 0:
+            out.append(self._order[k])
+            k = bits.find("1", k + 1)
+        return out
 
     # -- topology ---------------------------------------------------------
 
     def closure(self, subset: Iterable[Label]) -> frozenset[Label]:
         """Topological closure: the up-set generated by ``subset``."""
-        return self._label_set(self._up_closure_idx(self._idx_set(subset)))
+        mask = 0
+        for i in self._idx_set(subset):
+            mask |= self._up[i] | 1 << self._bit[i]
+        return self._label_set(self._points(mask))
 
     def is_open(self, subset: Iterable[Label]) -> bool:
         """True iff ``subset`` is a down-set of the order."""
@@ -207,8 +197,10 @@ class FinitePoset:
     def _isolated_idx(self, s: frozenset[int]) -> frozenset[int]:
         # isolated in the subspace s <=> minimal within the induced order,
         # i.e. not strictly above another point of s
-        above = frozenset(w for x in s for w in self._up_adj[x])
-        return s - self._up_closure_idx(above)
+        above = 0
+        for x in s:
+            above |= self._up[x]
+        return frozenset(x for x in s if not above >> self._bit[x] & 1)
 
     def isolated_in(self, subset: Iterable[Label]) -> frozenset[Label]:
         """The points of ``subset`` isolated in its subspace topology."""
@@ -273,9 +265,8 @@ class FinitePoset:
         returned rather than asserted so the construction stays checkable.
         """
         i = self.index(x)
-        cl = self._up_closure_idx(frozenset([i]))
-        w = (frozenset(range(len(self._labels))) - cl) | {i}
-        labels = self._label_set(w)
+        w = ((1 << len(self._labels)) - 1) ^ self._up[i]
+        labels = self._label_set(self._points(w))
         return labels, self.is_open(labels)
 
     def find_isolated(self) -> tuple[Label, frozenset[Label], frozenset[Label]]:
@@ -285,13 +276,13 @@ class FinitePoset:
         Replays the generic-point recipe: x is the first minimal element
         in element order (minimal elements form a discrete subspace, so
         any of them is isolated there), U is the smallest open set
-        containing x, and W is the td_witness open of x.
+        containing x, which is {x} because x is minimal, and W is the
+        td_witness open of x.
         """
         if not self._labels:
             raise EmptySpaceError("the empty space has no isolated point")
-        mins = self.minimal_elements()
-        x = mins[0]
-        u = self._label_set(self._down_closure_idx(frozenset([self.index(x)])))
+        x = self.minimal_elements()[0]
+        u = frozenset([x])
         w, w_open = self.td_witness(x)
         if not (w_open and self.is_open(u) and (u & w) == {x}):
             raise AssertionError(f"isolated-point recipe failed on {self!r} at {x!r}")
@@ -373,11 +364,7 @@ class FinitePoset:
         keep = sorted(self._idx_set(members))
         labels = [self._labels[i] for i in keep]
         renum = {old: new for new, old in enumerate(keep)}
-        pairs = []
-        for i in keep:
-            for j in self._up_closure_idx(frozenset([i])):
-                if j != i and j in renum:
-                    pairs.append((renum[i], renum[j]))
+        pairs = [(renum[i], renum[j]) for i in keep for j in self._points(self._up[i]) if j in renum]
         return FinitePoset(labels, pairs)
 
     def disjoint_union(self, other: "FinitePoset") -> "FinitePoset":
@@ -417,8 +404,12 @@ class FinitePoset:
 
 def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label]]) -> FinitePoset:
     """Build the poset whose order is the reflexive-transitive closure of
-    ``covers``; rejects cycles and unknown labels."""
+    ``covers``; rejects cycles, unknown labels and labels that are not
+    DSL identifiers."""
     labels = list(labels)
+    for lab in labels:
+        if not (isinstance(lab, str) and IDENTIFIER.fullmatch(lab)):
+            raise ValueError(f"label {lab!r} is not an identifier (letters, digits, underscore)")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}

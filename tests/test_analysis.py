@@ -141,13 +141,14 @@ def test_conflict_known_truth_contradictions():
                                   RingMeta(has_gabriel_dimension=True),
                                   RingMeta(absolutely_flat=True, has_gabriel_dimension=True)])
 def test_conflict_any_decided_verdict_against_known_truth(meta):
-    # a scattered patch space: absolutely flat or Gabriel both derive Generates
-    two_chain = parse_expr("fin{zero,m;zero<m}")
+    # a scattered patch space: absolutely flat or Gabriel both derive Generates;
+    # an absolutely flat ring has a Boolean spectrum, so it gets a discrete one
+    space = parse_expr("fin{zero,m;}" if meta.absolutely_flat else "fin{zero,m;zero<m}")
     for known in (None, FieldsGenerate.GENERATES):
-        verdict = evaluate(two_chain, meta, known_fields=known)
+        verdict = evaluate(space, meta, known_fields=known)
         assert verdict.fields_generate is FieldsGenerate.GENERATES
     with pytest.raises(ConflictError):
-        evaluate(two_chain, meta, known_fields=FieldsGenerate.DOES_NOT_GENERATE)
+        evaluate(space, meta, known_fields=FieldsGenerate.DOES_NOT_GENERATE)
 
 
 def test_inconclusive_never_conflicts_with_known_truth():

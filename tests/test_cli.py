@@ -86,6 +86,19 @@ def test_verdict_against_ground_truth_exit_3(capsys, name, flags):
     assert "DoesNotGenerate" in err
 
 
+@pytest.mark.parametrize("target", [["fin{a,b;a<b}"], ["cofan"], ["fan", "--n", "3"]])
+def test_absolutely_flat_needs_boolean_spectrum_exit_3(capsys, target):
+    code, out, err = run(capsys, "verdict", *target, "--absolutely-flat", "--json")
+    assert code == 3 and out == ""
+    assert "Boolean" in err
+
+
+@pytest.mark.parametrize("target", [["idempotent", "--n", "3"], ["cantor"]])
+def test_absolutely_flat_on_boolean_spectrum(capsys, target):
+    code, lines, _ = run_json(capsys, "verdict", *target, "--absolutely-flat")
+    assert code == 0 and lines[0]["meta"]["absolutely_flat"] is True
+
+
 @pytest.mark.parametrize("command", ["eval", "verdict"])
 def test_deep_nesting_exit_4(capsys, command):
     code, out, err = run(capsys, command, "dual(" * 3000 + "fan" + ")" * 3000, "--json")
@@ -217,6 +230,15 @@ def test_poset_json_replay(tmp_path, capsys):
     code, lines, _ = run_json(capsys, "verdict", f"@{path}")
     assert code == 0
     assert lines[0]["verdict"]["ltg"] == "Holds"
+
+
+@pytest.mark.parametrize("label", ["a b", 'x"y', "", 1])
+def test_poset_json_replay_bad_label_exit_2(tmp_path, capsys, label):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"labels": [label, "c"], "covers": [[label, "c"]]}))
+    for command in ("eval", "verdict"):
+        code, out, err = run(capsys, command, f"@{path}")
+        assert code == 2 and out == "" and "identifier" in err
 
 
 def test_poset_json_replay_missing_file_exit_2(capsys):

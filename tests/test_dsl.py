@@ -5,7 +5,7 @@ from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, ArityError, Con,
                      Dual, Fin, Ordinal, ParseError, Sum, Tower, construct_poset,
                      is_normal, normalize, parse_cnf, parse_expr, print_expr)
 
-from conftest import space_exprs
+from conftest import posets, space_exprs
 
 
 # -- parsing ------------------------------------------------------------------
@@ -92,6 +92,11 @@ def test_print_examples():
 @given(space_exprs())
 def test_print_parse_roundtrip(e):
     assert parse_expr(print_expr(e)) == e
+
+
+@given(posets())
+def test_print_parse_roundtrip_finite(p):
+    assert parse_expr(print_expr(Fin(p))) == Fin(p)
 
 
 # -- normalization ---------------------------------------------------------------

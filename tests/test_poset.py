@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -50,6 +52,12 @@ def test_construct_rejects_unknown_labels():
 def test_construct_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         construct_poset(["a", "a"], [])
+
+
+@pytest.mark.parametrize("label", ["a b", 'x"y', "", 1])
+def test_construct_rejects_non_identifier_labels(label):
+    with pytest.raises(ValueError):
+        construct_poset([label, "c"], [])
 
 
 def test_transitive_input_reduces_to_covers():
@@ -326,7 +334,7 @@ def test_restrict_induces_suborder():
 
 
 def test_large_mode_matches_small_mode_semantics():
-    # above CLOSURE_LIMIT the poset switches to traversal-backed queries
+    # the same queries hold well above CLOSURE_LIMIT, which no code path reads
     n = 1200
     labels = [f"p{i}" for i in range(n)] + ["m"]
     big = construct_poset(labels, [(f"p{i}", "m") for i in range(n)])
@@ -354,3 +362,62 @@ def test_deep_chain_isolation_and_layers(n, flip):
     layers = p.cb_layers()
     assert len(layers) == n and all(layer == {x} for layer, x in zip(layers, labels))
     assert p.scattered_via_closed_subsets(upset_budget=0)
+
+
+@pytest.mark.parametrize("n", [999, 1001, 3000])  # on each side of CLOSURE_LIMIT
+def test_covers_are_canonical_at_every_size(n):
+    labels = [f"c{i}" for i in range(n)]
+    plain = chain(*labels)
+    shortcut = construct_poset(labels, list(zip(labels, labels[1:])) + [("c0", "c2")])
+    assert shortcut == plain and hash(shortcut) == hash(plain)
+    assert len(shortcut.covers) == n - 1
+    for fmt in ("json", "dot"):
+        assert export(shortcut, fmt) == export(plain, fmt)
+
+
+def _random_dag(rng, n):
+    """Index pairs of a random DAG on n nodes: each node above up to three
+    earlier ones, plus a fifth of the pairs a < c that skip one node b."""
+    edges = sorted({(rng.randrange(b), b) for b in range(1, n) for _ in range(rng.randint(0, 3))})
+    above = {}
+    for a, b in edges:
+        above.setdefault(a, []).append(b)
+    shortcuts = {(a, c) for a, b in edges for c in above.get(b, ()) if rng.random() < 0.2}
+    return sorted(set(edges) | shortcuts)
+
+
+@pytest.mark.parametrize("n", [50, 999, 1001, 2000])
+def test_covers_match_networkx_transitive_reduction(n):
+    nx = pytest.importorskip("networkx")
+    edges = _random_dag(random.Random(n), n)
+    labels = [f"v{i}" for i in range(n)]
+    p = construct_poset(labels, [(labels[a], labels[b]) for a, b in edges])
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(range(n))
+    want = sorted(nx.transitive_reduction(g).edges())
+    assert len(want) < len(edges)  # the input did hold transitive pairs
+    assert p.covers == tuple((labels[a], labels[b]) for a, b in want)
+
+
+def test_chain_and_dual_build_in_small_memory():
+    labels = [f"c{i}" for i in range(1000)]
+    tracemalloc.start()
+    try:
+        p = chain(*labels)
+        p.dual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_wide_fan_builds_in_linear_memory():
+    # bits are numbered from the top, so each point's mask stays short
+    n = 8000
+    tracemalloc.start()
+    try:
+        fan(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
