@@ -20,6 +20,8 @@ import numpy as np
 from .errors import CycleError, SizeError
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# Upper bound on ``threads``: each thread is one worker of the bincount pool.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,14 @@ def _sharded_bincount(values: np.ndarray, length: int, threads: int) -> np.ndarr
 def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int = 1) -> np.ndarray:
     """Layer index per node: iterated removal of sources of the DAG.
 
-    Raises CycleError when the edge list is not acyclic.  Deterministic
-    regardless of ``threads`` (integer arithmetic only).
+    Raises CycleError when the edge list is not acyclic, ValueError when
+    ``threads`` < 1 and SizeError when it exceeds ``MAX_THREADS``.
+    Deterministic regardless of ``threads`` (integer arithmetic only).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise SizeError(f"{threads} threads exceeds the bound of {MAX_THREADS}")
     if nodes == 0:
         return np.empty(0, dtype=np.int64)
     indptr, sorted_heads = _csr(nodes, tails, heads)

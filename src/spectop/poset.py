@@ -22,16 +22,15 @@ i < ``_order[k]``), and keeps only the covering pairs of the input
 from the top keeps masks short where up-sets are small: a fan, its dual
 and an antichain take memory linear in their size.  Labels are
 DSL identifiers, so every printed poset parses back.  Values are immutable
-after construction and all operations are pure; the one lazily cached
-value (height) is recomputed idempotently, so instances are safe to share
-across threads.
+after construction and all operations are pure, so instances are safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError
 from .ordinal import Ordinal
@@ -116,8 +115,6 @@ class FinitePoset:
             for a, b in self._covers:
                 self._up_adj[a].append(b)
                 self._down_adj[b].append(a)
-
-        self._height: int | None = None
 
     # -- basics --------------------------------------------------------
 
@@ -232,19 +229,13 @@ class FinitePoset:
         order.  It uses the peel's order but not its layer count, so it
         checks ``rank_int`` independently.
         """
-        if self._height is None:
-            n = len(self._labels)
-            if n == 0:
-                self._height = -1
-            else:
-                dist = [0] * n
-                for v in self._topo:
-                    dv = dist[v] + 1
-                    for w in self._up_adj[v]:
-                        if dist[w] < dv:
-                            dist[w] = dv
-                self._height = max(dist)
-        return self._height
+        dist = [0] * len(self._labels)
+        for v in self._topo:
+            dv = dist[v] + 1
+            for w in self._up_adj[v]:
+                if dist[w] < dv:
+                    dist[w] = dv
+        return max(dist, default=-1)
 
     # -- duality -----------------------------------------------------------
 
@@ -290,71 +281,17 @@ class FinitePoset:
 
     # -- scatteredness -------------------------------------------------------
 
-    def iter_downsets(self) -> Iterator[frozenset[int]]:
-        """All down-sets (open sets) as index sets, each exactly once.
-
-        Iterative backtracking over a topological order: an element may be
-        included only when all its cover-predecessors are, and exclusion
-        is always allowed.  Depth-first, so memory stays linear even when
-        the family is exponential.
-        """
-        topo = self._topo
-        total = len(topo)
-        included: set[int] = set()
-        branch: list[str] = []
-        k = 0
-        while True:
-            if k == total:
-                yield frozenset(included)
-                advanced = False
-                while branch:
-                    last = branch.pop()
-                    k -= 1
-                    v = topo[k]
-                    if last == "I":
-                        # include branch exhausted; take the exclude branch
-                        included.discard(v)
-                        branch.append("E")
-                        k += 1
-                        advanced = True
-                        break
-                if not advanced:
-                    return
-            else:
-                v = topo[k]
-                if all(p in included for p in self._down_adj[v]):
-                    included.add(v)
-                    branch.append("I")
-                else:
-                    branch.append("E")
-                k += 1
-
-    def scattered_via_closed_subsets(self, upset_budget: int = 1 << 16) -> bool:
+    def scattered_via_closed_subsets(self, upset_budget: int | None = None) -> bool:
         """True iff every nonempty closed subset has an isolated point.
 
-        Scans the up-sets one by one.  When there are more than
-        ``upset_budget`` of them (families of up-sets grow exponentially,
-        e.g. on antichains), falls back to the perfect-kernel argument:
-        any closed set without isolated points survives every derivative
-        step, so iterating the derivative from the full space reaches a
-        nonempty fixpoint iff such a set exists.
+        Every finite T_0 space is scattered: a nonempty subset has a minimal
+        point, and a minimal point is isolated in it.  The constructor
+        rejects cycles (``CycleError``), so the order is antisymmetric, the
+        space is T_0, and its peel layers (the successive derivatives) cover
+        every point.  ``oracle.oracle_scattered`` checks this from the
+        definition.
         """
-        full = frozenset(range(len(self._labels)))
-        count = 0
-        for ds in self.iter_downsets():
-            up = full - ds
-            if not up:
-                continue
-            count += 1
-            if count > upset_budget:
-                return self._kernel_is_empty()
-            if not self._isolated_idx(up):
-                return False
-        return True
-
-    def _kernel_is_empty(self) -> bool:
-        # the stored layers are the successive derivatives of the space, so
-        # the perfect kernel is empty iff they cover every point
+        # upset_budget is ignored; the benchmark's suite workload still passes it
         return sum(map(len, self._layers)) == len(self._labels)
 
     # -- combination ---------------------------------------------------------
@@ -395,7 +332,13 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
+        """Read ``{"labels": [...], "covers": [[a, b], ...]}``; any other
+        shape raises ``ValueError``."""
         data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("labels"), list)
+                and isinstance(data.get("covers"), list)
+                and all(isinstance(c, list) and len(c) == 2 for c in data["covers"])):
+            raise ValueError('poset JSON must be {"labels": [...], "covers": [[a, b], ...]}')
         return construct_poset(data["labels"], [tuple(c) for c in data["covers"]])
 
 
@@ -415,9 +358,9 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
     index = {lab: i for i, lab in enumerate(labels)}
     pairs = []
     for a, b in covers:
-        if a not in index:
+        if not (isinstance(a, str) and a in index):
             raise UnknownLabelError(f"unknown element {a!r}")
-        if b not in index:
+        if not (isinstance(b, str) and b in index):
             raise UnknownLabelError(f"unknown element {b!r}")
         pairs.append((index[a], index[b]))
     return FinitePoset(labels, pairs)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spectop import CycleError, SizeError, construct_poset, run_bench
-from spectop.bench import (cb_layering, longest_path_rank, random_dag,
-                           read_edge_list)
+from spectop.bench import (MAX_THREADS, cb_layering, longest_path_rank,
+                           random_dag, read_edge_list)
 
 
 def test_empty_graph():
@@ -49,6 +49,18 @@ def test_thread_count_does_not_change_results():
         other = run_bench(5000, density=2.0, seed=9, threads=threads, verify=False)
         assert other.layer_sizes == baseline.layer_sizes
         assert other.rank == baseline.rank
+
+
+def test_thread_count_bounds():
+    # 10 nodes, far below the edge count at which a pool is built
+    tails, heads = random_dag(10, 2.0, 3)
+    baseline = cb_layering(10, tails, heads)
+    assert np.array_equal(cb_layering(10, tails, heads, threads=MAX_THREADS), baseline)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            cb_layering(10, tails, heads, threads=threads)
+    with pytest.raises(SizeError):
+        cb_layering(10, tails, heads, threads=MAX_THREADS + 1)
 
 
 def test_node_budget_refusal():

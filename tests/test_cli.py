@@ -241,6 +241,22 @@ def test_poset_json_replay_bad_label_exit_2(tmp_path, capsys, label):
         assert code == 2 and out == "" and "identifier" in err
 
 
+@pytest.mark.parametrize("document", [
+    '{"labels": ["a"], "covers": [5]}',
+    "[1]",
+    '{"labels": ["a"]}',
+    '{"labels": "ab", "covers": []}',
+    '{"labels": ["a", "c"], "covers": [[["a"], "c"]]}',
+])
+def test_poset_json_replay_bad_shape_exit_2(tmp_path, capsys, document):
+    path = tmp_path / "poset.json"
+    path.write_text(document)
+    for command in ("eval", "verdict"):
+        code, out, err = run(capsys, command, f"@{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_poset_json_replay_missing_file_exit_2(capsys):
     assert run(capsys, "eval", "@/nonexistent.json")[0] == 2
 
@@ -260,6 +276,13 @@ def test_bench_small_json(capsys):
 
 def test_bench_budget_exit_4(capsys):
     assert run(capsys, "bench", "--nodes", "10000", "--max-size", "100")[0] == 4
+
+
+@pytest.mark.parametrize("threads,expected", [("0", 2), ("100000", 4)])
+def test_bench_thread_bound(capsys, threads, expected):
+    code, out, err = run(capsys, "bench", "--nodes", "10", "--threads", threads)
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_edge_file(tmp_path, capsys):

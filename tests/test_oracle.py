@@ -85,16 +85,6 @@ def test_fast_algorithms_match_oracle(p):
     assert p.scattered_via_closed_subsets() == oracle_scattered(topo)
 
 
-@given(posets(max_size=5))
-def test_downset_enumerator_matches_bitmask_filter(p):
-    from_generator = set(p.iter_downsets())
-    from_topology = {
-        frozenset(i for i in range(len(p)) if mask >> i & 1)
-        for mask in downset_topology(p).opens
-    }
-    assert from_generator == from_topology
-
-
 # -- generators ---------------------------------------------------------------------
 
 

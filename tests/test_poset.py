@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from spectop import (CycleError, EmptySpaceError, FinitePoset, Ordinal,
-                     UnknownLabelError, construct_poset, export)
+                     UnknownLabelError, construct_poset, downset_topology, export)
 
 from conftest import posets
 
@@ -114,11 +114,11 @@ def test_closure_is_smallest_closed_superset(p):
 
 @given(posets(max_size=5))
 def test_closure_minimality_against_all_closed_sets(p):
-    everything = frozenset(range(len(p)))
+    topo = downset_topology(p)
     for x in p.elements:
         cl = p.closure({x})
-        for down in p.iter_downsets():
-            up = frozenset(p.elements[i] for i in everything - down)
+        for down in topo.opens:
+            up = frozenset(y for i, y in enumerate(p.elements) if not down >> i & 1)
             if x in up:
                 assert cl <= up
 
@@ -255,13 +255,6 @@ def test_scattered_examples():
     assert fan(4).scattered_via_closed_subsets()
     assert construct_poset([], []).scattered_via_closed_subsets()
     assert chain("a", "b", "c").scattered_via_closed_subsets()
-
-
-@given(posets())
-def test_scattered_enumeration_and_kernel_routes_agree(p):
-    by_enumeration = p.scattered_via_closed_subsets(upset_budget=1 << 16)
-    by_kernel = p.scattered_via_closed_subsets(upset_budget=0)
-    assert by_enumeration is True and by_kernel is True
 
 
 # -- constructive isolated point --------------------------------------------------------
