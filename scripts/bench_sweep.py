@@ -1,39 +1,97 @@
 #!/usr/bin/env python3
-"""Layering benchmark sweep: node counts x thread counts, JSON per run.
+"""Layering benchmark sweep: four DAG shapes x node counts, per-phase seconds.
+
+Shapes: ``random`` (``random_dag`` at --density), ``chain`` (one path
+through permuted node ids, edges in shuffled order), ``antichain`` (no
+edges) and ``fan`` (every point under one sink).  Node counts run
+10^4, 10^5, ... up to --max-nodes.  Each point records the wall seconds of
+generation, the peel (``seconds_layering``) and the certificate
+(``seconds_check``); one JSON line per point goes to stdout, and --out
+also writes them all to one JSON file.  Exits 1 if any layering fails its
+certificate.
 
 Usage: python scripts/bench_sweep.py [--max-nodes N] [--density D] [--seed N]
+                                     [--out BENCH_layering.json]
 """
 
 import argparse
 import json
+import os
+import platform
 import sys
+import time
 
-from spectop import run_bench
+import numpy as np
+
+from spectop.bench import random_dag, run_bench
+
+
+def _chain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    ids, order = rng.permutation(nodes), rng.permutation(max(nodes - 1, 0))
+    return ids[:-1][order], ids[1:][order]
+
+
+def _antichain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty.copy()
+
+
+def _fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    ids = rng.permutation(nodes)
+    return ids[:-1], np.full(nodes - 1, ids[-1])
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-nodes", type=int, default=1_000_000)
     parser.add_argument("--density", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None, help="also write every point to this JSON file")
     args = parser.parse_args()
 
+    shapes = {
+        "random": lambda n, rng: random_dag(n, args.density, args.seed),
+        "chain": _chain,
+        "antichain": _antichain,
+        "fan": _fan,
+    }
+    points = []
     nodes = 10_000
-    baseline_sizes = {}
-    agree = True
     while nodes <= args.max_nodes:
-        for threads in (1, 2, 8):
-            result = run_bench(nodes, density=args.density, seed=args.seed,
-                               threads=threads, verify=(threads == 1))
-            print(json.dumps(result.to_dict()))
-            if threads == 1:
-                baseline_sizes[nodes] = result.layer_sizes
-                agree = agree and result.agree
-            else:
-                agree = agree and result.layer_sizes == baseline_sizes[nodes]
+        for shape, generate in shapes.items():
+            started = time.perf_counter()
+            tails, heads = generate(nodes, np.random.default_rng(args.seed))
+            seconds_generation = time.perf_counter() - started
+            result = run_bench(nodes, edges=(tails, heads))
+            point = {
+                "shape": shape,
+                "nodes": nodes,
+                "edges": result.edges,
+                "rank": result.rank,
+                "agree": result.agree,
+                "seconds_generation": round(seconds_generation, 4),
+                "seconds_layering": round(result.seconds_layering, 4),
+                "seconds_check": round(result.seconds_check, 4),
+            }
+            print(json.dumps(point), flush=True)
+            points.append(point)
         nodes *= 10
-    print(json.dumps({"all_runs_consistent": agree}))
-    return 0 if agree else 1
+    certified = all(p["agree"] for p in points)
+    print(json.dumps({"all_certified": certified}))
+    if args.out:
+        document = {
+            "density": args.density,
+            "seed": args.seed,
+            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__},
+            "points": points,
+            "all_certified": certified,
+        }
+        with open(args.out, "w") as handle:
+            json.dump(document, handle, indent=1)
+            handle.write("\n")
+    return 0 if certified else 1
 
 
 if __name__ == "__main__":

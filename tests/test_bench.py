@@ -1,9 +1,15 @@
+import time
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
-from spectop import CycleError, SizeError, construct_poset, run_bench
-from spectop.bench import (MAX_THREADS, cb_layering, longest_path_rank,
-                           random_dag, read_edge_list)
+from spectop import CycleError, SizeError, bench, construct_poset, run_bench
+from spectop.bench import (MAX_THREADS, THIN_FRONTIER, cb_layering,
+                           certify_layering, longest_path_rank, random_dag,
+                           read_edge_list)
+from spectop.cli import main
 
 
 def test_empty_graph():
@@ -52,7 +58,7 @@ def test_thread_count_does_not_change_results():
 
 
 def test_thread_count_bounds():
-    # 10 nodes, far below the edge count at which a pool is built
+    # threads is validated but changes no work: the peel runs in one thread
     tails, heads = random_dag(10, 2.0, 3)
     baseline = cb_layering(10, tails, heads)
     assert np.array_equal(cb_layering(10, tails, heads, threads=MAX_THREADS), baseline)
@@ -98,3 +104,121 @@ def test_bench_on_explicit_edges():
     result = run_bench(nodes, edges=(tails, heads))
     assert result.rank == 3 and result.agree
     assert result.layer_sizes == (2, 1, 1)
+
+
+def test_threads_checked_before_the_graph_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_dag called before threads was checked")
+
+    monkeypatch.setattr(bench, "random_dag", refuse)
+    with pytest.raises(ValueError):
+        run_bench(10**6, threads=0)
+    with pytest.raises(SizeError):
+        run_bench(10**6, threads=MAX_THREADS + 1)
+
+
+def test_cli_checks_threads_before_reading_edges(capsys):
+    # exit 4 (the bound), not exit 2 (the missing file)
+    assert main(["bench", "--edges", "/nonexistent/file", "--threads", "100000"]) == 4
+    capsys.readouterr()
+
+
+def test_certificate_rejects_bad_layerings():
+    tails, heads = random_dag(300, 2.0, 5)
+    layer = cb_layering(300, tails, heads)
+    assert certify_layering(300, tails, heads, layer)
+    for node in (0, 1, 150, 299):
+        for delta in (1, -1):
+            bad = layer.copy()
+            bad[node] += delta
+            assert not certify_layering(300, tails, heads, bad)
+    negative = layer.copy()
+    negative[int(np.argmax(layer))] = -1
+    for bad in (np.zeros_like(layer), negative, layer[:-1], np.append(layer, 0),
+                layer.astype(float)):
+        assert not certify_layering(300, tails, heads, bad)
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=6), min_size=4, max_size=4))
+def test_certificate_rejects_every_layering_of_a_cycle(values):
+    tails = np.array([0, 1, 2, 3], dtype=np.int64)
+    heads = np.array([1, 2, 0, 2], dtype=np.int64)
+    assert not certify_layering(4, tails, heads, np.array(values, dtype=np.int64))
+
+
+def test_corrupted_layering_is_reported(monkeypatch, capsys):
+    real = bench.cb_layering
+
+    def corrupted(*args, **kwargs):
+        layer = real(*args, **kwargs)
+        layer[layer.size // 2] += 1
+        return layer
+
+    monkeypatch.setattr(bench, "cb_layering", corrupted)
+    result = run_bench(500, seed=3)
+    assert result.agree is False and result.longest_path_rank is None
+    assert result.to_dict()["agree"] is False
+    assert main(["bench", "--nodes", "500", "--seed", "3"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+def _broom(handle: int, width: int, tail: int) -> tuple[int, list, list]:
+    """A chain of ``handle`` nodes whose last node covers ``width``
+    bristles, all under one sink that starts a chain of ``tail`` more
+    nodes: the frontier goes thin -> wide -> thin."""
+    root, sink = handle - 1, handle + width
+    tails = list(range(handle - 1)) + [root] * width + list(range(handle, sink + tail))
+    heads = list(range(1, handle)) + list(range(handle, sink)) + [sink] * width \
+        + list(range(sink + 1, sink + tail + 1))
+    return sink + tail + 1, tails, heads
+
+
+@st.composite
+def shaped_dags(draw):
+    """Chains, antichains, fans, dual fans, random DAGs and brooms, each
+    with node ids permuted; sizes straddle ``THIN_FRONTIER``."""
+    shape = draw(st.sampled_from(["chain", "antichain", "fan", "dual_fan", "random", "broom"]))
+    k = draw(st.integers(min_value=1, max_value=3 * THIN_FRONTIER))
+    if shape == "chain":
+        n, tails, heads = k, list(range(k - 1)), list(range(1, k))
+    elif shape == "antichain":
+        n, tails, heads = k, [], []
+    elif shape == "fan":
+        n, tails, heads = k + 1, list(range(k)), [k] * k
+    elif shape == "dual_fan":
+        n, tails, heads = k + 1, [k] * k, list(range(k))
+    elif shape == "random":
+        density = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        t, h = random_dag(k, density, draw(st.integers(min_value=0, max_value=1000)))
+        n, tails, heads = k, t.tolist(), h.tolist()
+    else:
+        n, tails, heads = _broom(
+            draw(st.integers(min_value=1, max_value=2 * THIN_FRONTIER)),
+            draw(st.integers(min_value=1, max_value=2 * THIN_FRONTIER)),
+            draw(st.integers(min_value=0, max_value=2 * THIN_FRONTIER)),
+        )
+    ids = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).permutation(n)
+    return n, ids[np.array(tails, dtype=np.int64)], ids[np.array(heads, dtype=np.int64)]
+
+
+@given(shaped_dags())
+def test_layering_matches_poset_layers_per_node(dag):
+    nodes, tails, heads = dag
+    layer = cb_layering(nodes, tails, heads)
+    labels = [f"v{i}" for i in range(nodes)]
+    poset = construct_poset(labels, [(f"v{t}", f"v{h}") for t, h in zip(tails.tolist(), heads.tolist())])
+    layers = poset.cb_layers()
+    assert int(layer.max()) + 1 == len(layers)
+    for level, members in enumerate(layers):
+        assert members == {f"v{i}" for i in np.flatnonzero(layer == level)}
+    assert certify_layering(nodes, tails, heads, layer)
+
+
+def test_deep_permuted_chain_layers_in_linear_time():
+    nodes = 200_000
+    rng = np.random.default_rng(11)
+    ids, order = rng.permutation(nodes), rng.permutation(nodes - 1)
+    started = time.process_time()
+    layer = cb_layering(nodes, ids[:-1][order], ids[1:][order])
+    assert time.process_time() - started < 5.0
+    assert np.array_equal(layer[ids], np.arange(nodes))

@@ -270,7 +270,8 @@ def test_bench_small_json(capsys):
     )
     assert code == 0
     payload = lines[0]
-    assert payload["agree"] is True
+    assert payload["agree"] is True and payload["longest_path_rank"] == payload["rank"]
+    assert payload["seconds_check"] >= 0
     assert sum(payload["layer_sizes"]) == 3000
 
 
