@@ -1,10 +1,16 @@
 """Attribute evaluation and theorem-backed verdicts.
 
-``analyze`` evaluates a normalized expression to an attribute record by
-structural recursion: finite posets go through the exact poset
-algorithms, the infinite primitives have fixed tables, and disjoint sums
-combine componentwise (a finite union of quasi-compact spaces is
-quasi-compact, so that attribute stays true).
+Both read one pass over the leaves of the normal form.  Each leaf kind
+has a table row: its attribute record and three facts that a theorem
+fixes for the kind.  Dual scattered: fan and cofan are each other's
+Hochster dual, and cofan has no isolated point; omega1, cantor and
+towers are Stone spaces, hence self-dual; the dual of a finite space is
+finite T_0, hence scattered.  Patch scattered: fan and cofan both have
+the patch space omega1, a Stone space is its own patch space, and a
+finite space has a discrete one.  Boolean (equal to its patch space):
+the Stone spaces, not fan or cofan, and a finite space exactly when it
+has no covers.  A disjoint sum has each fact exactly when every summand
+does, since dual and patch push through sums.
 
 The verdict engine applies the following rules, in order, to a space
 together with curated ring metadata.  The metadata is never computed, it
@@ -38,10 +44,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .dsl import (Cantor, CoFan, Con, Dual, Fan, Fin, OmegaPlusOne,
-                  SpaceExpr, Sum, Tower, normalize)
+from .dsl import (Cantor, CoFan, Fan, Fin, OmegaPlusOne, SpaceExpr, Sum,
+                  Tower, normalize)
 from .errors import ConflictError
-from .ordinal import Ordinal, ordinal_max
+from .ordinal import Ordinal
 
 
 @dataclass(frozen=True)
@@ -128,58 +134,62 @@ CITE_INCONCLUSIVE = "Ex 6.2: a scattered patch spectrum is not sufficient for ge
 
 _RANK_TWO = Ordinal.from_int(2)
 
+# leaf kind -> (its Analysis, dual scattered, patch scattered, Boolean);
+# the module docstring gives the reason for each fact
+_ROWS = {
+    Fan: (Analysis(True, True, True, True, True, _RANK_TWO), False, True, False),
+    # no singleton of cofan is open: every nonempty open set is cofinite
+    CoFan: (Analysis(True, True, False, False, False, None), True, True, False),
+    OmegaPlusOne: (Analysis(True, True, True, True, True, _RANK_TWO), True, True, True),
+    Cantor: (Analysis(True, True, True, False, False, None), False, False, True),
+}
+
+
+def _row(leaf: SpaceExpr) -> tuple[Analysis, bool, bool, bool]:
+    match leaf:
+        case Fin(p):
+            occupied = len(p) > 0
+            # no covers <=> an antichain <=> at most one peel layer
+            return (Analysis(occupied, True, True, occupied, True, p.rank()),
+                    True, True, p.rank_int() <= 1)
+        case Tower(rank):
+            occupied = not rank.is_zero
+            return Analysis(occupied, True, True, occupied, True, rank), True, True, True
+    try:
+        return _ROWS[type(leaf)]
+    except KeyError:
+        raise ValueError(f"not a normal form: {leaf!r}") from None
+
+
+def _leaf_pass(n: SpaceExpr) -> tuple[Analysis, bool, bool, bool]:
+    """The row of the normal form ``n``, read off its leaves in one pass
+    with an explicit stack: a sum has each of the three facts exactly when
+    every summand has it, and combines the summands' Analysis componentwise
+    (a finite union of quasi-compact spaces is quasi-compact)."""
+    rows = []
+    stack = [n]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        else:
+            rows.append(_row(node))
+    records, dual, patch, boolean = zip(*rows)
+    scattered = all(a.scattered for a in records)
+    analysis = Analysis(
+        nonempty=any(a.nonempty for a in records),
+        quasi_compact=True,
+        is_td=all(a.is_td for a in records),
+        has_isolated_point=any(a.has_isolated_point for a in records),
+        scattered=scattered,
+        cb_rank=max(a.cb_rank for a in records) if scattered else None,
+    )
+    return analysis, all(dual), all(patch), all(boolean)
+
 
 def analyze(e: SpaceExpr) -> Analysis:
     """Attributes of the space denoted by ``e`` (normalizes internally)."""
-    return _analyze_nf(normalize(e))
-
-
-def _analyze_nf(n: SpaceExpr) -> Analysis:
-    match n:
-        case Fin(p):
-            occupied = len(p) > 0
-            return Analysis(
-                nonempty=occupied,
-                quasi_compact=True,
-                is_td=True,
-                has_isolated_point=occupied,
-                scattered=True,
-                cb_rank=p.rank(),
-            )
-        case Fan():
-            return Analysis(True, True, True, True, True, _RANK_TWO)
-        case CoFan():
-            # no singleton is open: every nonempty open set is cofinite
-            return Analysis(True, True, False, False, False, None)
-        case OmegaPlusOne():
-            return Analysis(True, True, True, True, True, _RANK_TWO)
-        case Cantor():
-            return Analysis(True, True, True, False, False, None)
-        case Tower(rank):
-            occupied = not rank.is_zero
-            return Analysis(occupied, True, True, occupied, True, rank)
-        case Sum(left, right):
-            la, ra = _analyze_nf(left), _analyze_nf(right)
-            scattered = la.scattered and ra.scattered
-            rank = ordinal_max(la.cb_rank, ra.cb_rank) if scattered else None
-            return Analysis(
-                nonempty=la.nonempty or ra.nonempty,
-                quasi_compact=True,
-                is_td=la.is_td and ra.is_td,
-                has_isolated_point=la.has_isolated_point or ra.has_isolated_point,
-                scattered=scattered,
-                cb_rank=rank,
-            )
-    raise ValueError(f"not a normal form: {n!r}")
-
-
-def _dual_scattered(n: SpaceExpr) -> bool:
-    return _analyze_nf(normalize(Dual(n))).scattered
-
-
-def verdict_ltg(e: SpaceExpr) -> Ltg:
-    """Local-to-global verdict for the ring whose spectrum ``e`` denotes."""
-    return Ltg.HOLDS if _dual_scattered(normalize(e)) else Ltg.FAILS
+    return _leaf_pass(normalize(e))[0]
 
 
 def evaluate(
@@ -190,10 +200,7 @@ def evaluate(
     """Full verdict with the citations of every rule that fired; see the
     module docstring for the rule order.  Raises ConflictError on
     contradictory metadata or ground truth."""
-    n = normalize(e)
-    patch = normalize(Con(n))
-    con_scattered = _analyze_nf(patch).scattered
-    dual_scattered = _dual_scattered(n)
+    _, dual_scattered, con_scattered, boolean = _leaf_pass(normalize(e))
 
     if meta.has_gabriel_dimension and not con_scattered:
         raise ConflictError(
@@ -218,7 +225,7 @@ def evaluate(
         raise ConflictError(
             f"the rules derive {fields.value}, but the ground truth is {known_fields.value}"
         )
-    if meta.absolutely_flat and n != patch:
+    if meta.absolutely_flat and not boolean:
         raise ConflictError(
             "metadata claims an absolutely flat ring, but the spectrum is not "
             "Boolean: it differs from its patch space"

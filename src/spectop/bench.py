@@ -14,6 +14,7 @@ acyclic, since layers strictly increase along every edge.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -74,6 +75,8 @@ def random_dag(nodes: int, density: float, seed: int) -> tuple[np.ndarray, np.nd
     point from a lower to a higher node index, so acyclicity is built in."""
     if nodes < 0:
         raise ValueError("nodes must be non-negative")
+    if not math.isfinite(density):
+        raise ValueError(f"density must be finite, got {density}")
     if density < 0:
         raise ValueError("density must be non-negative")
     rng = np.random.default_rng(seed)

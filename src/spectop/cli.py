@@ -16,9 +16,10 @@ import sys
 from .analysis import RingMeta, analyze, evaluate
 from .bench import DEFAULT_NODE_BUDGET, check_threads, read_edge_list, run_bench
 from .dsl import Fin, Sum, normalize, parse_expr, print_expr
-from .errors import ConflictError, CycleError, ParseError, SizeError, SpectopError
+from .errors import ConflictError, ParseError, SizeError, SpectopError
 from .gallery import NAMES, OMEGA, catalog, get_entry
 from .oracle import SuiteConfig, run_property_suite
+from .poset import FinitePoset, construct_poset
 from .poset import export as export_poset
 
 
@@ -37,8 +38,6 @@ def _load_space(text: str):
     """An expression, or '@file' naming a poset JSON file to replay."""
     if text.startswith("@"):
         with open(text[1:]) as handle:
-            from .poset import FinitePoset
-
             return Fin(FinitePoset.from_json(handle.read()))
     return parse_expr(text)
 
@@ -85,10 +84,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verdict(args) -> int:
     space, meta, known, entry = _resolve_target(args)
-    verdict = evaluate(space, meta, known_fields=known)
+    nf = normalize(space)
+    verdict = evaluate(nf, meta, known_fields=known)
     payload = {
         "target": args.target,
-        "space": print_expr(normalize(space)),
+        "space": print_expr(nf),
         "meta": meta.to_dict(),
         "verdict": verdict.to_dict(),
     }
@@ -183,15 +183,14 @@ def _collect_finite(nf):
 def _cmd_export(args) -> int:
     space, _, _, _ = _resolve_target(args)
     parts = _collect_finite(normalize(space))
+    if sum(map(len, parts)) != len({x for part in parts for x in part.elements}):
+        # prefix every part: the digits before the first "_" fix the part,
+        # so no prefixed label can collide with another
+        parts = [construct_poset([f"s{k}_{x}" for x in part.elements],
+                                 [(f"s{k}_{a}", f"s{k}_{b}") for a, b in part.covers])
+                 for k, part in enumerate(parts)]
     combined = parts[0]
-    for k, part in enumerate(parts[1:], start=1):
-        if set(part.elements) & set(combined.elements):
-            from .poset import construct_poset
-
-            part = construct_poset(
-                [f"s{k}_{x}" for x in part.elements],
-                [(f"s{k}_{a}", f"s{k}_{b}") for a, b in part.covers],
-            )
+    for part in parts[1:]:
         combined = combined.disjoint_union(part)
     print(export_poset(combined, args.format))
     return 0
@@ -300,12 +299,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

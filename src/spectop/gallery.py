@@ -99,14 +99,10 @@ def fan_ring(n) -> RingEntry:
         )
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
-    if n == 0:
-        space = Fin(construct_poset(["m"], []))
-    else:
-        space = Fin(_fan_poset(n))
     return RingEntry(
         name="fan",
         description=f"k[x_1,...,x_{n}]_(x_1,...,x_{n}) / (x_i x_j : i != j), {n} glued axes",
-        space=space,
+        space=Fin(_fan_poset(n)),
     )
 
 

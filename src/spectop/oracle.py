@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
-from .analysis import FieldsGenerate, Ltg, analyze, verdict_ltg
+from .analysis import FieldsGenerate, Ltg, analyze, evaluate
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
                   Fin, OmegaPlusOne, Cantor, SpaceExpr, Sum, Tower, is_normal,
                   normalize, print_expr)
@@ -560,7 +560,7 @@ def _check_corpus_laws(e, laws, rng, config, sample_confluence):
         laws.check("td-patch-scattered-equivalence", a.scattered == con_a.scattered, ce)
     if not con_a.scattered:
         laws.check("patch-obstruction-forces-ltg-failure",
-                   verdict_ltg(e) is Ltg.FAILS, ce)
+                   evaluate(e).ltg is Ltg.FAILS, ce)
     if isinstance(nf, Fin):
         p = nf.poset
         agree = (a.cb_rank == p.rank()

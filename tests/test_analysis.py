@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Analysis, Con,
                      ConflictError, Dual, FieldsGenerate, Fin, Ltg, Ordinal,
-                     RingMeta, Sum, Tower, analyze, construct_poset, evaluate,
-                     normalize, parse_cnf, parse_expr, verdict_ltg)
-from spectop.analysis import (CITE_ABS_FLAT, CITE_GABRIEL, CITE_LTG,
-                              CITE_LTG_OBSTRUCTION, CITE_OBSTRUCTION)
+                     RingMeta, Sum, Tower, Verdict, analyze, construct_poset,
+                     evaluate, normalize, parse_cnf, parse_expr)
+from spectop.analysis import (CITE_ABS_FLAT, CITE_GABRIEL, CITE_INCONCLUSIVE,
+                              CITE_LTG, CITE_LTG_OBSTRUCTION, CITE_OBSTRUCTION)
 
 from conftest import space_exprs
 
@@ -84,9 +84,9 @@ def test_analyze_accepts_unnormalized_input():
 
 
 def test_verdict_ltg_examples():
-    assert verdict_ltg(FAN) is Ltg.FAILS
-    assert verdict_ltg(COFAN) is Ltg.HOLDS
-    assert verdict_ltg(parse_expr("fin{a,b;a<b}")) is Ltg.HOLDS
+    assert evaluate(FAN).ltg is Ltg.FAILS
+    assert evaluate(COFAN).ltg is Ltg.HOLDS
+    assert evaluate(parse_expr("fin{a,b;a<b}")).ltg is Ltg.HOLDS
 
 
 def test_verdict_fields_obstruction():
@@ -193,7 +193,7 @@ def test_td_spaces_scattered_iff_patch_scattered(e):
 @given(space_exprs())
 def test_patch_obstruction_forces_ltg_failure(e):
     if not analyze(Con(e)).scattered:
-        assert verdict_ltg(e) is Ltg.FAILS
+        assert evaluate(e).ltg is Ltg.FAILS
 
 
 @given(space_exprs())
@@ -209,3 +209,52 @@ def test_analysis_on_duals_of_fins_matches_poset_algorithms(e):
         a = analyze(nf)
         assert a.cb_rank == nf.poset.rank()
         assert a.is_td and a.scattered
+
+
+# -- the leaf pass against the three-tree route ----------------------------------------
+
+FLAG_SETS = (RingMeta(), RingMeta(absolutely_flat=True), RingMeta(has_gabriel_dimension=True),
+             RingMeta(absolutely_flat=True, has_gabriel_dimension=True))
+KNOWN_FIELDS = (None, FieldsGenerate.GENERATES, FieldsGenerate.DOES_NOT_GENERATE)
+
+
+def three_tree_verdict(e, meta, known):
+    """The verdict rules read off the dual and the patch space as normal
+    forms of their own: LTG from the dual's analysis, the obstruction from
+    the patch space's, and Boolean as "equals its patch space".  Returns
+    None where the rules conflict."""
+    n = normalize(e)
+    patch = normalize(Con(e))
+    dual_scattered = analyze(normalize(Dual(e))).scattered
+    patch_scattered = analyze(patch).scattered
+    if meta.has_gabriel_dimension and not patch_scattered:
+        return None
+    if meta.has_gabriel_dimension:
+        fields, cite = FieldsGenerate.GENERATES, CITE_GABRIEL
+    elif meta.absolutely_flat:
+        fields = (FieldsGenerate.GENERATES if patch_scattered
+                  else FieldsGenerate.DOES_NOT_GENERATE)
+        cite = CITE_ABS_FLAT
+    elif not patch_scattered:
+        fields, cite = FieldsGenerate.DOES_NOT_GENERATE, CITE_OBSTRUCTION
+    else:
+        fields, cite = FieldsGenerate.INCONCLUSIVE, CITE_INCONCLUSIVE
+    if fields is not FieldsGenerate.INCONCLUSIVE and known not in (None, fields):
+        return None
+    if meta.absolutely_flat and n != patch:
+        return None
+    citations = (cite, CITE_LTG) + (() if patch_scattered else (CITE_LTG_OBSTRUCTION,))
+    return Verdict(Ltg.HOLDS if dual_scattered else Ltg.FAILS, fields, citations)
+
+
+@settings(max_examples=200)
+@given(space_exprs())
+def test_leaf_pass_verdicts_match_the_three_tree_route(e):
+    for meta in FLAG_SETS:
+        for known in KNOWN_FIELDS:
+            expected = three_tree_verdict(e, meta, known)
+            if expected is None:
+                with pytest.raises(ConflictError):
+                    evaluate(e, meta, known_fields=known)
+            else:
+                assert evaluate(e, meta, known_fields=known) == expected

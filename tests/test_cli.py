@@ -4,6 +4,7 @@ import pytest
 
 from spectop.cli import main
 from spectop.gallery import catalog
+from spectop.poset import FinitePoset
 
 
 def run(capsys, *argv):
@@ -127,6 +128,25 @@ def test_verdict_parametric_ring(capsys):
 # -- ring ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("wrap,constructions", [("{}", 1), ("dual({})", 2)])
+def test_verdict_builds_only_the_posets_it_names(capsys, monkeypatch, wrap, constructions):
+    # one poset per fin{...} parsed, one more per dual of it; none for the
+    # dual or patch space the verdict reasons about
+    chain = "fin{" + ",".join(f"x{i}" for i in range(3000)) + ";" + ",".join(
+        f"x{i}<x{i + 1}" for i in range(2999)) + "}"
+    calls = []
+    init = FinitePoset.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinitePoset, "__init__", counting)
+    code, lines, _ = run_json(capsys, "verdict", wrap.format(chain))
+    assert code == 0 and lines[0]["verdict"]["ltg"] == "Holds"
+    assert calls == [3000] * constructions
+
+
 def test_ring_listing(capsys):
     code, out, _ = run(capsys, "ring")
     assert code == 0
@@ -217,6 +237,14 @@ def test_export_sum_of_fins(capsys):
     assert json.loads(out)["labels"] == ["a", "b"]
 
 
+def test_export_sum_with_clashing_labels(capsys):
+    # renaming only the clashing part to s1_a would collide with the label s1_a
+    code, out, err = run(capsys, "export", "sum(fin{a,s1_a;}, fin{a;})", "--format", "json")
+    assert code == 0 and err == ""
+    labels = json.loads(out)["labels"]
+    assert len(labels) == len(set(labels)) == 3
+
+
 def test_export_infinite_space_exit_2(capsys):
     assert run(capsys, "export", "cantor")[0] == 2
 
@@ -283,6 +311,13 @@ def test_bench_budget_exit_4(capsys):
 def test_bench_thread_bound(capsys, threads, expected):
     code, out, err = run(capsys, "bench", "--nodes", "10", "--threads", threads)
     assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("density", ["inf", "nan"])
+def test_bench_non_finite_density_exit_2(capsys, density):
+    code, out, err = run(capsys, "bench", "--nodes", "10", "--density", density)
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
