@@ -4,12 +4,17 @@ Exit codes: 0 success, 1 property-suite failure, 2 parse or resolution
 error, 3 metadata conflict, 4 resource refusal (size budgets and nesting
 deeper than the recursion limit).  ``--json`` switches every command to
 line-delimited JSON on stdout.
+
+``main`` is cheap to call repeatedly in one process: the argument parser is
+built on the first call and reused, so each later call pays only for its
+own request.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -72,12 +77,11 @@ def _emit(args, payload: dict, human: str):
 def _cmd_eval(args) -> int:
     expr = _load_space(args.expr)
     nf = normalize(expr)
-    record = analyze(nf)
-    payload = {"input": args.expr, "normalized": print_expr(nf),
-               "analysis": record.to_dict()}
-    lines = [f"normalized: {print_expr(nf)}"]
-    for key, value in record.to_dict().items():
-        lines.append(f"{key}: {value}")
+    normalized = print_expr(nf)
+    analysis = analyze(nf).to_dict()
+    payload = {"input": args.expr, "normalized": normalized, "analysis": analysis}
+    lines = [f"normalized: {normalized}"]
+    lines.extend(f"{key}: {value}" for key, value in analysis.items())
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -172,26 +176,31 @@ def _cmd_fuzz(args) -> int:
     return _report_exit(args, run_property_suite(config))
 
 
-def _collect_finite(nf):
-    if isinstance(nf, Fin):
-        return [nf.poset]
-    if isinstance(nf, Sum):
-        return _collect_finite(nf.left) + _collect_finite(nf.right)
-    raise ParseError(f"'{print_expr(nf)}' does not denote a finite space; cannot export")
+def _finite_parts(nf) -> list[FinitePoset]:
+    """The posets of a normal form's ``Sum`` leaves, left to right."""
+    parts, stack = [], [nf]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        elif isinstance(node, Fin):
+            parts.append(node.poset)
+        else:
+            raise ParseError(f"'{print_expr(node)}' does not denote a finite space; cannot export")
+    return parts
 
 
 def _cmd_export(args) -> int:
     space, _, _, _ = _resolve_target(args)
-    parts = _collect_finite(normalize(space))
-    if sum(map(len, parts)) != len({x for part in parts for x in part.elements}):
+    parts = _finite_parts(normalize(space))
+    labels = [x for part in parts for x in part.elements]
+    covers = [c for part in parts for c in part.covers]
+    if len(set(labels)) != len(labels):
         # prefix every part: the digits before the first "_" fix the part,
         # so no prefixed label can collide with another
-        parts = [construct_poset([f"s{k}_{x}" for x in part.elements],
-                                 [(f"s{k}_{a}", f"s{k}_{b}") for a, b in part.covers])
-                 for k, part in enumerate(parts)]
-    combined = parts[0]
-    for part in parts[1:]:
-        combined = combined.disjoint_union(part)
+        labels = [f"s{k}_{x}" for k, part in enumerate(parts) for x in part.elements]
+        covers = [(f"s{k}_{a}", f"s{k}_{b}") for k, part in enumerate(parts) for a, b in part.covers]
+    combined = parts[0] if len(parts) == 1 else construct_poset(labels, covers)
     print(export_poset(combined, args.format))
     return 0
 
@@ -223,7 +232,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args returns a fresh
+    # Namespace each time, and argparse looks up sys.stdout, sys.stderr and
+    # the terminal width only when it prints
     parser = argparse.ArgumentParser(
         prog="spectop",
         description="Topological analysis of spectral spaces: ranks, duals, patch topologies and derived-category verdicts.",

@@ -37,15 +37,21 @@ push through sums, act on finite posets directly and have fixed values on
 the primitives, and dual(dual(e)) cancels while con is idempotent and
 absorbs an inner dual (the patch topology of the dual is the patch
 topology).
+
+Parsing tokenizes the text in one regex pass (an identifier or one other
+non-space character per token) and walks the token list by recursive
+descent; every ``ParseError`` names the character offset of the offending
+token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ArityError, ParseError, SpectopError
 from .ordinal import Ordinal, parse_cnf
-from .poset import IDENTIFIER, FinitePoset, construct_poset
+from .poset import FinitePoset, construct_poset
 
 
 @dataclass(frozen=True)
@@ -195,39 +201,62 @@ def print_expr(e: SpaceExpr) -> str:
 # -- parsing -----------------------------------------------------------------
 
 
+# A token is an identifier (a maximal run of ``\w``, exactly what
+# ``poset.IDENTIFIER`` matches) or one other non-space character; whitespace
+# only separates tokens.
+_TOKEN = re.compile(r"\w+|\S")
+
+
 class _Parser:
+    """Recursive descent over one tokenization of the text.
+
+    ``tokens`` lists the tokens, then ``""`` for the end of input, and ``i``
+    indexes the next unread one.  Character offsets are needed only for an
+    error or a ``tower(...)`` body, so they are computed on the first such
+    need: a match object per token would cost more than the token pass.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens: list[str] = _TOKEN.findall(text)
+        self.tokens.append("")
+        self.i = 0
+        self._starts: list[int] | None = None
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def start(self, i: int) -> int:
+        """The character offset of token ``i``; the end of input is at len(text)."""
+        if self._starts is None:
+            self._starts = [m.start() for m in _TOKEN.finditer(self.text)]
+            self._starts.append(len(self.text))
+        return self._starts[i]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, kind: type[ParseError] = ParseError) -> ParseError:
+        """An error at the next unread token."""
+        return kind(message, self.start(self.i))
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise ParseError(f"expected {ch!r}, found {found!r}", self.pos)
-        self.pos += 1
+    def found(self) -> str:
+        """The next token's first character, quoted, for an error message."""
+        token = self.tokens[self.i]
+        return repr(token[0] if token else "end of input")
+
+    def expect(self, token: str):
+        if self.tokens[self.i] != token:
+            raise self.error(f"expected {token!r}, found {self.found()}")
+        self.i += 1
 
     def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        match = IDENTIFIER.match(self.text, start)
-        if match is None:
-            found = self.text[start] if start < len(self.text) else "end of input"
-            raise ParseError(f"expected an identifier, found {found!r}", start)
-        self.pos = match.end()
-        return match.group()
+        token = self.tokens[self.i]
+        # a token is all word characters or a single other one, so its first
+        # character decides; isalnum() or "_" is exactly \w, and cheaper than
+        # a regex call per token
+        first = token[:1]
+        if not (first.isalnum() or first == "_"):
+            raise self.error(f"expected an identifier, found {self.found()}")
+        self.i += 1
+        return token
 
     def expr(self) -> SpaceExpr:
-        self.skip_ws()
-        start = self.pos
+        head_at = self.i
         head = self.ident()
         if head == "fan":
             return FAN
@@ -238,79 +267,78 @@ class _Parser:
         if head == "cantor":
             return CANTOR
         if head == "tower":
-            return self._tower(start)
+            return self._tower(head_at)
         if head == "fin":
-            return self._fin(start)
+            return self._fin(head_at)
         if head in ("dual", "con"):
             self.expect("(")
             inner = self.expr()
-            if self.peek() == ",":
-                raise ArityError(f"{head} takes exactly one argument", self.pos)
+            if self.tokens[self.i] == ",":
+                raise self.error(f"{head} takes exactly one argument", ArityError)
             self.expect(")")
             return Dual(inner) if head == "dual" else Con(inner)
         if head == "sum":
             self.expect("(")
             left = self.expr()
-            if self.peek() == ")":
-                raise ArityError("sum takes exactly two arguments", self.pos)
+            if self.tokens[self.i] == ")":
+                raise self.error("sum takes exactly two arguments", ArityError)
             self.expect(",")
             right = self.expr()
-            if self.peek() == ",":
-                raise ArityError("sum takes exactly two arguments", self.pos)
+            if self.tokens[self.i] == ",":
+                raise self.error("sum takes exactly two arguments", ArityError)
             self.expect(")")
             return Sum(left, right)
-        raise ParseError(f"unknown space {head!r}", start)
+        raise ParseError(f"unknown space {head!r}", self.start(head_at))
 
-    def _tower(self, start: int) -> Tower:
+    def _tower(self, head_at: int) -> Tower:
+        # the ordinal has its own grammar, so its body goes to parse_cnf as text
         self.expect("(")
-        self.skip_ws()
-        depth_end = self.text.find(")", self.pos)
-        if depth_end < 0:
-            raise ParseError("unterminated tower(...)", self.pos)
-        body = self.text[self.pos:depth_end]
+        body_start = self.start(self.i)
+        body_end = self.text.find(")", body_start)
+        if body_end < 0:
+            raise ParseError("unterminated tower(...)", body_start)
         try:
-            rank = parse_cnf(body)
+            rank = parse_cnf(self.text[body_start:body_end])
         except ParseError as exc:
-            raise ParseError(f"bad tower rank: {exc.args[0]}", self.pos + exc.position) from None
-        self.pos = depth_end + 1
+            raise ParseError(f"bad tower rank: {exc.message}", body_start + exc.position) from None
+        while self.start(self.i) <= body_end:
+            self.i += 1
         try:
             return Tower(rank)
         except ValueError as exc:
-            raise ParseError(str(exc), start) from None
+            raise ParseError(str(exc), self.start(head_at)) from None
 
-    def _fin(self, start: int) -> Fin:
+    def _fin(self, head_at: int) -> Fin:
         self.expect("{")
+        tokens = self.tokens
         labels: list[str] = []
-        if self.peek() not in (";", "}"):
-            labels.append(self.ident())
-            while self.peek() == ",":
-                self.expect(",")
+        if tokens[self.i] not in (";", "}"):
+            while True:
                 labels.append(self.ident())
+                if tokens[self.i] != ",":
+                    break
+                self.i += 1
         self.expect(";")
         covers: list[tuple[str, str]] = []
-        if self.peek() != "}":
-            covers.append(self._cover())
-            while self.peek() == ",":
-                self.expect(",")
-                covers.append(self._cover())
+        if tokens[self.i] != "}":
+            while True:
+                a = self.ident()
+                self.expect("<")
+                covers.append((a, self.ident()))
+                if tokens[self.i] != ",":
+                    break
+                self.i += 1
         self.expect("}")
         try:
             return Fin(construct_poset(labels, covers))
         except (SpectopError, ValueError) as exc:
-            raise ParseError(f"bad finite poset: {exc}", start) from None
-
-    def _cover(self) -> tuple[str, str]:
-        a = self.ident()
-        self.expect("<")
-        b = self.ident()
-        return a, b
+            raise ParseError(f"bad finite poset: {exc}", self.start(head_at)) from None
 
 
 def parse_expr(text: str) -> SpaceExpr:
     """Parse an expression; raises ParseError (with position) on bad input."""
     p = _Parser(text)
     e = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(f"trailing input {text[p.pos]!r}", p.pos)
+    if p.tokens[p.i]:
+        raise p.error(f"trailing input {p.found()}")
     return e

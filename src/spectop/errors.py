@@ -26,13 +26,17 @@ class ConflictError(SpectopError):
 
 
 class ParseError(SpectopError):
-    """Malformed or non-canonical input text.
+    """Malformed or non-canonical input.
 
-    ``position`` is the character offset of the offending token.
+    ``message`` is the bare description.  ``position`` is the character
+    offset of the offending token in the parsed text, or ``None`` when the
+    error concerns no position in a text (a bad ``--n`` value, an unknown
+    gallery name); only a position that is not ``None`` is printed.
     """
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

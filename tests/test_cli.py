@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from spectop import cli
 from spectop.cli import main
 from spectop.gallery import catalog
 from spectop.poset import FinitePoset
@@ -105,6 +107,18 @@ def test_deep_nesting_exit_4(capsys, command):
     code, out, err = run(capsys, command, "dual(" * 3000 + "fan" + ")" * 3000, "--json")
     assert code == 4 and out == ""
     assert len(err.strip().splitlines()) == 1 and "nested" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verdict"])
+@pytest.mark.parametrize("nested", [
+    "dual(" * 600 + "fan" + ")" * 600,
+    "con(" * 600 + "fan" + ")" * 600,
+    "sum(fan, " * 600 + "fan" + ")" * 600,
+    "sum(" * 600 + "fan" + ", cofan)" * 600,
+])
+def test_nesting_600_levels_exit_0(capsys, command, nested):
+    code, lines, err = run_json(capsys, command, nested)
+    assert code == 0 and err == "" and len(lines) == 1
 
 
 def test_every_gallery_name_answers_verdict(capsys):
@@ -249,6 +263,35 @@ def test_export_infinite_space_exit_2(capsys):
     assert run(capsys, "export", "cantor")[0] == 2
 
 
+def _antichain_sum(parts: int) -> str:
+    text = "fin{" + ",".join(f"a{parts - 1}_{i}" for i in range(20)) + ";}"
+    for k in range(parts - 2, -1, -1):
+        text = f"sum(fin{{{','.join(f'a{k}_{i}' for i in range(20))};}}, {text})"
+    return text
+
+
+@pytest.mark.parametrize("target,constructions,expected", [
+    # one poset per fin{...} parsed, then one for the whole sum
+    (_antichain_sum(200), 201,
+     {"labels": [f"a{k}_{i}" for k in range(200) for i in range(20)], "covers": []}),
+    ("sum(fin{a,b;a<b}, fin{a;})", 3,
+     {"labels": ["s0_a", "s0_b", "s1_a"], "covers": [["s0_a", "s0_b"]]}),
+])
+def test_export_sum_builds_one_combined_poset(capsys, monkeypatch, target, constructions, expected):
+    calls = []
+    init = FinitePoset.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinitePoset, "__init__", counting)
+    code, out, err = run(capsys, "export", target, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == expected
+    assert len(calls) == constructions
+
+
 def test_poset_json_replay(tmp_path, capsys):
     path = tmp_path / "poset.json"
     path.write_text('{"labels": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}')
@@ -337,3 +380,65 @@ def test_bench_cyclic_edge_file_exit_2(tmp_path, capsys):
 
 def test_bench_missing_edge_file_exit_2(capsys):
     assert run(capsys, "bench", "--edges", "/nonexistent/file")[0] == 2
+
+
+# -- errors and parser reuse ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verdict", "tower(w^w+1)"], "bad tower rank: expected nat, found w (at position 8)"),
+    (["verdict", "fan", "--n", "abc"], "--n expects a natural number or 'omega', got 'abc'"),
+    (["ring", "nosuch"], "no gallery entry named 'nosuch'"),
+    (["export", "cofan"], "'cofan' does not denote a finite space; cannot export"),
+])
+def test_error_message_prints_at_most_one_position(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_parser_is_built_once_for_many_calls(capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(100):
+        assert main(["verdict", "fan", "--json"]) == 0
+    capsys.readouterr()
+    # the root parser and one per subcommand
+    assert len(built) == 8
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # an expression, not the fan gallery entry, whose curated metadata
+    # already has Gabriel dimension
+    code, lines, _ = run_json(capsys, "verdict", "fin{a,b;a<b}", "--gabriel")
+    assert code == 0 and lines[0]["meta"]["has_gabriel_dimension"] is True
+    code, lines, _ = run_json(capsys, "verdict", "fin{a,b;a<b}")
+    assert code == 0 and lines[0]["meta"]["has_gabriel_dimension"] is False
+    assert lines[0]["verdict"]["fields_generate"] == "Inconclusive"
+
+
+def test_reused_parser_reports_usage_errors_each_time(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "fan", "--frobnicate"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: spectop") and "--frobnicate" in errors[0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spectop")

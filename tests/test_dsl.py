@@ -78,6 +78,93 @@ def test_parse_error_carries_position():
     assert exc.value.position >= 5
 
 
+_LIMIT_RANK = ("tower rank must be 0 or a successor ordinal; a nonempty compact "
+               "scattered space cannot have limit rank")
+
+# (input, exception type, message as printed, position)
+PARSE_ERRORS = [
+    # the malformed requests of the verdicts benchmark
+    ("sum(fan, cofan", ParseError, "expected ')', found 'end of input' (at position 14)", 14),
+    ("dual(fan", ParseError, "expected ')', found 'end of input' (at position 8)", 8),
+    ("fan)", ParseError, "trailing input ')' (at position 3)", 3),
+    ("fann", ParseError, "unknown space 'fann' (at position 0)", 0),
+    ("sum(fan, foo)", ParseError, "unknown space 'foo' (at position 9)", 9),
+    ("sum(fan)", ArityError, "sum takes exactly two arguments (at position 7)", 7),
+    ("dual(fan, cofan)", ArityError, "dual takes exactly one argument (at position 8)", 8),
+    ("sum(fan, fan, fan)", ArityError, "sum takes exactly two arguments (at position 12)", 12),
+    ("fin{a,b;a<c}", ParseError, "bad finite poset: unknown element 'c' (at position 0)", 0),
+    ("fin{a,a;}", ParseError, "bad finite poset: labels must be distinct (at position 0)", 0),
+    ("fin{a,b;a<b,b<a}", ParseError,
+     "bad finite poset: covering relation contains a cycle (at position 0)", 0),
+    ("fin{a;a<a}", ParseError, "bad finite poset: self-loop on 'a' (at position 0)", 0),
+    ("fin{a,b;a<}", ParseError, "expected an identifier, found '}' (at position 10)", 10),
+    ("fin{a b;}", ParseError, "expected ';', found 'b' (at position 6)", 6),
+    ("tower(w)", ParseError, f"{_LIMIT_RANK} (at position 0)", 0),
+    ("tower(x)", ParseError, "bad tower rank: unexpected character 'x' (at position 6)", 6),
+    ("tower(3", ParseError, "unterminated tower(...) (at position 6)", 6),
+    ("tower(w*0)", ParseError, "bad tower rank: zero coefficient is not canonical (at position 6)", 6),
+    ("", ParseError, "expected an identifier, found 'end of input' (at position 0)", 0),
+    ("   ", ParseError, "expected an identifier, found 'end of input' (at position 3)", 3),
+    ("con()", ParseError, "expected an identifier, found ')' (at position 4)", 4),
+    ("@perfbench/missing-poset.json", ParseError,
+     "expected an identifier, found '@' (at position 0)", 0),
+    # arity
+    ("dual(fan, fan)", ArityError, "dual takes exactly one argument (at position 8)", 8),
+    # unknown heads
+    ("blah", ParseError, "unknown space 'blah' (at position 0)", 0),
+    ("dual(x)", ParseError, "unknown space 'x' (at position 5)", 5),
+    ("Fan", ParseError, "unknown space 'Fan' (at position 0)", 0),
+    ("dual(é)", ParseError, "unknown space 'é' (at position 5)", 5),
+    # a missing ")", "}", ";", "<", "(", "{" or identifier
+    ("dual(fan cofan)", ParseError, "expected ')', found 'c' (at position 9)", 9),
+    ("sum(fan cofan)", ParseError, "expected ',', found 'c' (at position 8)", 8),
+    ("fin{a,b;a<b", ParseError, "expected '}', found 'end of input' (at position 11)", 11),
+    ("fin{a,b;a<b;}", ParseError, "expected '}', found ';' (at position 11)", 11),
+    ("fin{a;", ParseError, "expected an identifier, found 'end of input' (at position 6)", 6),
+    ("fin{a,b}", ParseError, "expected ';', found '}' (at position 7)", 7),
+    ("fin{a,b;a b}", ParseError, "expected '<', found 'b' (at position 10)", 10),
+    ("fin a,b;}", ParseError, "expected '{', found 'a' (at position 4)", 4),
+    ("fin{a,;}", ParseError, "expected an identifier, found ';' (at position 6)", 6),
+    ("fin{a,b;a<b,}", ParseError, "expected an identifier, found '}' (at position 12)", 12),
+    ("dual fan", ParseError, "expected '(', found 'f' (at position 5)", 5),
+    ("sum(fan,", ParseError, "expected an identifier, found 'end of input' (at position 8)", 8),
+    ("sum(, fan)", ParseError, "expected an identifier, found ',' (at position 4)", 4),
+    # trailing input
+    ("fan cofan", ParseError, "trailing input 'c' (at position 4)", 4),
+    ("fan,", ParseError, "trailing input ',' (at position 3)", 3),
+    ("sum(fan, cofan))", ParseError, "trailing input ')' (at position 15)", 15),
+    ("dual(fan) x", ParseError, "trailing input 'x' (at position 10)", 10),
+    ("fin{é,x;é<x} x", ParseError, "trailing input 'x' (at position 13)", 13),
+    # tower ranks: only the absolute position is printed
+    ("tower(w^w+1)", ParseError, "bad tower rank: expected nat, found w (at position 8)", 8),
+    ("tower( w^w + 1 )", ParseError, "bad tower rank: expected nat, found w (at position 9)", 9),
+    ("tower()", ParseError, "bad tower rank: empty ordinal (at position 6)", 6),
+    ("tower(2 + w)", ParseError, "bad tower rank: exponents must strictly decrease (at position 6)", 6),
+    ("tower(w^2 + w)", ParseError, f"{_LIMIT_RANK} (at position 0)", 0),
+    ("tower", ParseError, "expected '(', found 'end of input' (at position 5)", 5),
+    ("tower 3", ParseError, "expected '(', found '3' (at position 6)", 6),
+    # leading and trailing whitespace, including non-ASCII whitespace
+    ("  blah", ParseError, "unknown space 'blah' (at position 2)", 2),
+    ("fan  x", ParseError, "trailing input 'x' (at position 5)", 5),
+    ("fan cofan", ParseError, "trailing input 'c' (at position 4)", 4),
+    ("\n", ParseError, "expected an identifier, found 'end of input' (at position 1)", 1),
+    ("  dual( fan ", ParseError, "expected ')', found 'end of input' (at position 12)", 12),
+    (" sum(fan ,  fan ,fan)", ArityError, "sum takes exactly two arguments (at position 16)", 16),
+    ("  sum( fan )  ", ArityError, "sum takes exactly two arguments (at position 11)", 11),
+    ("\tfin{ a ; a < z }\n", ParseError, "bad finite poset: unknown element 'z' (at position 1)", 1),
+    ("  tower( w )  ", ParseError, f"{_LIMIT_RANK} (at position 2)", 2),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,position", PARSE_ERRORS)
+def test_parse_error_type_message_and_position(text, kind, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    assert exc.value.position == position
+
+
 # -- printing -----------------------------------------------------------------
 
 
