@@ -12,7 +12,7 @@ from .analysis import (Analysis, FieldsGenerate, Ltg, RingMeta, Verdict,
 from .bench import BenchResult, cb_layering, longest_path_rank, run_bench
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Cantor, CoFan, Con,
                   Dual, Fan, Fin, OmegaPlusOne, SpaceExpr, Sum, Tower,
-                  is_normal, normalize, parse_expr, print_expr)
+                  is_normal, leaves, normalize, parse_expr, print_expr)
 from .errors import (ArityError, ConflictError, CycleError, EmptySpaceError,
                      ParseError, SizeError, SpectopError, UnknownLabelError)
 from .gallery import (OMEGA, KnownTruth, RingEntry, catalog, curated_examples,

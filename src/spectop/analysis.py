@@ -44,8 +44,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .dsl import (Cantor, CoFan, Fan, Fin, OmegaPlusOne, SpaceExpr, Sum,
-                  Tower, normalize)
+from .dsl import (Cantor, CoFan, Fan, Fin, OmegaPlusOne, SpaceExpr, Tower,
+                  leaves, normalize)
 from .errors import ConflictError
 from .ordinal import Ordinal
 
@@ -162,19 +162,11 @@ def _row(leaf: SpaceExpr) -> tuple[Analysis, bool, bool, bool]:
 
 
 def _leaf_pass(n: SpaceExpr) -> tuple[Analysis, bool, bool, bool]:
-    """The row of the normal form ``n``, read off its leaves in one pass
-    with an explicit stack: a sum has each of the three facts exactly when
-    every summand has it, and combines the summands' Analysis componentwise
-    (a finite union of quasi-compact spaces is quasi-compact)."""
-    rows = []
-    stack = [n]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack += (node.right, node.left)
-        else:
-            rows.append(_row(node))
-    records, dual, patch, boolean = zip(*rows)
+    """The row of the normal form ``n``, read off its leaves in one pass: a
+    sum has each of the three facts exactly when every summand has it, and
+    combines the summands' Analysis componentwise (a finite union of
+    quasi-compact spaces is quasi-compact)."""
+    records, dual, patch, boolean = zip(*map(_row, leaves(n)))
     scattered = all(a.scattered for a in records)
     analysis = Analysis(
         nonempty=any(a.nonempty for a in records),

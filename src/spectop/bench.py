@@ -219,7 +219,10 @@ def longest_path_rank(nodes: int, tails: np.ndarray, heads: np.ndarray) -> int:
 
 
 def read_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """Parse "u v" lines into (nodes, tails, heads); node ids are ints."""
+    """Parse "u v" lines into (nodes, tails, heads); node ids are ints.
+
+    ValueError names the first bad line; SizeError refuses an id that does
+    not fit in 64 bits."""
     tails, heads = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -228,13 +231,20 @@ def read_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: node ids must be non-negative")
         tails.append(u)
         heads.append(v)
     nodes = max(tails + heads) + 1 if tails else 0
-    return nodes, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    try:
+        return nodes, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    except OverflowError:
+        # such a graph is over any node budget, so it is refused like one
+        raise SizeError(f"node id {nodes - 1} does not fit in 64 bits") from None
 
 
 def run_bench(

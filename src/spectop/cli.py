@@ -20,7 +20,7 @@ import sys
 
 from .analysis import RingMeta, analyze, evaluate
 from .bench import DEFAULT_NODE_BUDGET, check_threads, read_edge_list, run_bench
-from .dsl import Fin, Sum, normalize, parse_expr, print_expr
+from .dsl import Fin, leaves, normalize, parse_expr, print_expr
 from .errors import ConflictError, ParseError, SizeError, SpectopError
 from .gallery import NAMES, OMEGA, catalog, get_entry
 from .oracle import SuiteConfig, run_property_suite
@@ -176,23 +176,13 @@ def _cmd_fuzz(args) -> int:
     return _report_exit(args, run_property_suite(config))
 
 
-def _finite_parts(nf) -> list[FinitePoset]:
-    """The posets of a normal form's ``Sum`` leaves, left to right."""
-    parts, stack = [], [nf]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack += (node.right, node.left)
-        elif isinstance(node, Fin):
-            parts.append(node.poset)
-        else:
-            raise ParseError(f"'{print_expr(node)}' does not denote a finite space; cannot export")
-    return parts
-
-
 def _cmd_export(args) -> int:
     space, _, _, _ = _resolve_target(args)
-    parts = _finite_parts(normalize(space))
+    parts = []
+    for leaf in leaves(normalize(space)):
+        if not isinstance(leaf, Fin):
+            raise ParseError(f"'{print_expr(leaf)}' does not denote a finite space; cannot export")
+        parts.append(leaf.poset)
     labels = [x for part in parts for x in part.elements]
     covers = [c for part in parts for c in part.covers]
     if len(set(labels)) != len(labels):

@@ -34,9 +34,12 @@ tower(a)
 Every expressible object denotes a spectral space, which keeps dual() and
 con() total.  Normal forms contain no dual or con nodes at all: both
 push through sums, act on finite posets directly and have fixed values on
-the primitives, and dual(dual(e)) cancels while con is idempotent and
-absorbs an inner dual (the patch topology of the dual is the patch
-topology).
+the primitives.  ``normalize`` is one explicit-stack pass that carries the
+pending wrapper down the tree: a chain of dual/con nodes collapses to keep,
+dual or patch, since dual(dual(e)) cancels, con absorbs a dual inside or
+outside it (the patch space of the dual is the patch space, and a patch
+space is a Stone space, hence self-dual) and con is idempotent.  Each
+leaf's dual or patch form is then built once, at the leaf.
 
 Parsing tokenizes the text in one regex pass (an identifier or one other
 non-space character per token) and walks the token list by recursive
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ArityError, ParseError, SpectopError
 from .ordinal import Ordinal, parse_cnf
@@ -117,57 +121,65 @@ CANTOR = Cantor()
 
 # -- normalization -------------------------------------------------------
 
+# What a chain of dual/con nodes above a subtree does to it: nothing, the
+# Hochster dual, or the patch topology.
+_KEEP, _DUAL, _PATCH = "keep", "dual", "patch"
+
+# the primitives that a wrapper changes; omega1, cantor and towers are Stone
+# spaces, hence self-dual and their own patch space
+_WRAPPED = {
+    (Fan, _DUAL): COFAN,
+    (CoFan, _DUAL): FAN,
+    (Fan, _PATCH): OMEGA_PLUS_ONE,
+    (CoFan, _PATCH): OMEGA_PLUS_ONE,
+}
+
+_JOIN = object()  # on the work stack: the next two finished trees are summands
+
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
-    """Innermost-first rewriting to the unique dual/con-free normal form."""
-    match e:
-        case Sum(left, right):
-            return Sum(normalize(left), normalize(right))
-        case Dual(inner):
-            return _dual_nf(normalize(inner))
-        case Con(inner):
-            return _con_nf(normalize(inner))
-        case _:
-            return e
-
-
-def _dual_nf(n: SpaceExpr) -> SpaceExpr:
-    match n:
-        case Fin(p):
-            return Fin(p.dual())
-        case Fan():
-            return COFAN
-        case CoFan():
-            return FAN
-        case Sum(left, right):
-            return Sum(_dual_nf(left), _dual_nf(right))
-        case _:
-            # omega1, cantor and towers are Stone spaces, hence self-dual
-            return n
-
-
-def _con_nf(n: SpaceExpr) -> SpaceExpr:
-    match n:
-        case Fin(p):
+    """The unique dual/con-free normal form of ``e``, in one pass with an
+    explicit stack that carries the pending wrapper down to the leaves."""
+    todo: list = [(e, _KEEP)]
+    done: list[SpaceExpr] = []
+    while todo:
+        node, wrap = todo.pop()
+        if node is _JOIN:
+            done[-2:] = [Sum(*done[-2:])]
+            continue
+        while isinstance(node, (Dual, Con)):
+            if isinstance(node, Con):
+                wrap = _PATCH
+            elif wrap != _PATCH:
+                wrap = _KEEP if wrap == _DUAL else _DUAL
+            node = node.inner
+        if isinstance(node, Sum):
+            todo += ((_JOIN, None), (node.right, wrap), (node.left, wrap))
+        elif wrap == _KEEP:
+            done.append(node)
+        elif isinstance(node, Fin):
+            p = node.poset
             # the patch topology of a finite spectral space is discrete
-            return Fin(construct_poset(p.elements, []))
-        case Fan() | CoFan():
-            return OMEGA_PLUS_ONE
-        case Sum(left, right):
-            return Sum(_con_nf(left), _con_nf(right))
-        case _:
-            # Stone spaces already carry their patch topology
-            return n
+            done.append(Fin(p.dual() if wrap == _DUAL else FinitePoset(p.elements, ())))
+        else:
+            done.append(_WRAPPED.get((type(node), wrap), node))
+    return done[0]
+
+
+def leaves(e: SpaceExpr) -> Iterator[SpaceExpr]:
+    """The ``Sum`` leaves of ``e``, left to right, walked with an explicit
+    stack; every other node, ``Dual`` and ``Con`` included, is a leaf."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 def is_normal(e: SpaceExpr) -> bool:
-    match e:
-        case Dual(_) | Con(_):
-            return False
-        case Sum(left, right):
-            return is_normal(left) and is_normal(right)
-        case _:
-            return True
+    return not any(isinstance(leaf, (Dual, Con)) for leaf in leaves(e))
 
 
 # -- printing --------------------------------------------------------------

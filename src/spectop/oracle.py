@@ -30,6 +30,10 @@ from .ordinal import parse_cnf
 from .poset import FinitePoset, construct_poset
 
 _PAIR_BUDGET = 4096 * 4096
+# down-set enumeration scans 2^n masks, so oracle posets stay this small
+ORACLE_MAX_SIZE = 15
+# exhaustive enumeration scans 2^(n(n-1)/2) relations times n! relabelings
+EXHAUSTIVE_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class ExplicitTopology:
         return frozenset(x for i, x in enumerate(self.points) if mask >> i & 1)
 
 
-def downset_topology(poset: FinitePoset, max_size: int = 15) -> ExplicitTopology:
+def downset_topology(poset: FinitePoset, max_size: int = ORACLE_MAX_SIZE) -> ExplicitTopology:
     """Enumerate every down-set of the order as an explicit open family."""
     n = len(poset)
     if n > max_size:
@@ -482,7 +486,7 @@ def _check_poset_against_oracle(poset, laws, rank, config, rng):
         data.update(extra)
         return lambda: data
 
-    topo = downset_topology(poset, max_size=max(15, config.oracle_random_size))
+    topo = downset_topology(poset)
     for subset in _subset_pool(poset, config.oracle_subset_samples, rng):
         sub = sorted(subset)
         laws.check("closure-matches-oracle",
@@ -592,6 +596,14 @@ def _check_gallery(laws):
 
 
 def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
+    """Run every block that ``config`` asks for; raises SizeError before any
+    work when a block's sizes are beyond what its enumeration can finish."""
+    if config.oracle_random_count > 0 and config.oracle_random_size > ORACLE_MAX_SIZE:
+        raise SizeError(f"random oracle posets of up to {config.oracle_random_size} elements "
+                        f"exceed the enumeration guard of {ORACLE_MAX_SIZE}")
+    if config.exhaustive_max > EXHAUSTIVE_MAX:
+        raise SizeError(f"exhaustive enumeration up to {config.exhaustive_max} elements "
+                        f"exceeds the bound of {EXHAUSTIVE_MAX}")
     started = time.perf_counter()
     laws = _Laws()
     rank = _rank_fn(config)

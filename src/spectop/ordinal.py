@@ -173,18 +173,21 @@ def parse_cnf(text: str) -> Ordinal:
     if first[0] == "nat" and first[1] == "0" and len(tokens) == 1:
         return ZERO
 
+    # each term with the offset of its first token, for the canonicity errors
+    starts = [peek()[2]]
     terms = [term()]
     while peek()[1] == "+":
         take("op", "+")
+        starts.append(peek()[2])
         terms.append(term())
     tok = peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
 
-    for (e1, _), (e2, _) in zip(terms, terms[1:]):
+    for (e1, _), (e2, _), start in zip(terms, terms[1:], starts[1:]):
         if e2 >= e1:
-            raise ParseError("exponents must strictly decrease", 0)
-    for _, c in terms:
+            raise ParseError("exponents must strictly decrease", start)
+    for (_, c), start in zip(terms, starts):
         if c == 0:
-            raise ParseError("zero coefficient is not canonical", 0)
+            raise ParseError("zero coefficient is not canonical", start)
     return Ordinal(tuple(terms))

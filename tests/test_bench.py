@@ -88,6 +88,16 @@ def test_read_edge_list_errors():
         read_edge_list("0 1 2")
     with pytest.raises(ValueError):
         read_edge_list("-1 0")
+    for text, line in (("a 2", 1), ("0 1\n1 2.5", 2)):
+        with pytest.raises(ValueError, match=f"^line {line}: node ids must be integers"):
+            read_edge_list(text)
+    with pytest.raises(SizeError):
+        read_edge_list("0 1\n1 99999999999999999999")
+    # the largest 64-bit id is read; its graph is then over the node budget
+    nodes, _, heads = read_edge_list(f"0 {2**63 - 1}")
+    assert nodes == 2**63 and heads.tolist() == [2**63 - 1]
+    with pytest.raises(SizeError):
+        run_bench(nodes, edges=(np.zeros(1, dtype=np.int64), heads))
 
 
 def test_cycle_detection():

@@ -142,10 +142,13 @@ def test_verdict_parametric_ring(capsys):
 # -- ring ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("wrap,constructions", [("{}", 1), ("dual({})", 2)])
+@pytest.mark.parametrize("wrap,constructions", [
+    ("{}", 1), ("dual({})", 2), ("dual(dual({}))", 1), ("con(dual({}))", 2),
+])
 def test_verdict_builds_only_the_posets_it_names(capsys, monkeypatch, wrap, constructions):
-    # one poset per fin{...} parsed, one more per dual of it; none for the
-    # dual or patch space the verdict reasons about
+    # one poset per fin{...} parsed, one more for the dual or patch space a
+    # dual/con chain collapses to; none for the dual or patch space the
+    # verdict reasons about
     chain = "fin{" + ",".join(f"x{i}" for i in range(3000)) + ";" + ",".join(
         f"x{i}<x{i + 1}" for i in range(2999)) + "}"
     calls = []
@@ -198,6 +201,17 @@ def test_oracle_command_passes(capsys):
     assert code == 0
     assert lines[0]["passed"] is True
     assert lines[0]["poset_counts"]["3"] == 19
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--count", "1", "--max-size", "100"],
+     "random oracle posets of up to 100 elements exceed the enumeration guard of 15"),
+    (["--exhaustive-max", "9"], "exhaustive enumeration up to 9 elements exceeds the bound of 6"),
+])
+def test_oracle_sizes_beyond_the_enumeration_exit_4(capsys, argv, message):
+    code, out, err = run(capsys, "oracle", *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_mutation_exit_1(capsys):
@@ -380,6 +394,18 @@ def test_bench_cyclic_edge_file_exit_2(tmp_path, capsys):
 
 def test_bench_missing_edge_file_exit_2(capsys):
     assert run(capsys, "bench", "--edges", "/nonexistent/file")[0] == 2
+
+
+@pytest.mark.parametrize("text,expected,message", [
+    ("0 1\n1 99999999999999999999\n", 4, "node id 99999999999999999999 does not fit in 64 bits"),
+    ("0 1\na 2\n", 2, "line 2: node ids must be integers, got 'a 2'"),
+])
+def test_bench_bad_edge_ids_exit_with_one_line(tmp_path, capsys, text, expected, message):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "bench", "--edges", str(path))
+    assert code == expected and out == ""
+    assert err == f"error: {message}\n"
 
 
 # -- errors and parser reuse ------------------------------------------------------

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 
 from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, ArityError, Con,
-                     Dual, Fin, Ordinal, ParseError, Sum, Tower, construct_poset,
-                     is_normal, normalize, parse_cnf, parse_expr, print_expr)
+                     Dual, Fin, Ltg, Ordinal, ParseError, Sum, Tower, analyze,
+                     construct_poset, evaluate, is_normal, leaves, normalize,
+                     parse_cnf, parse_expr, print_expr)
 
 from conftest import posets, space_exprs
 
@@ -139,7 +140,9 @@ PARSE_ERRORS = [
     ("tower(w^w+1)", ParseError, "bad tower rank: expected nat, found w (at position 8)", 8),
     ("tower( w^w + 1 )", ParseError, "bad tower rank: expected nat, found w (at position 9)", 9),
     ("tower()", ParseError, "bad tower rank: empty ordinal (at position 6)", 6),
-    ("tower(2 + w)", ParseError, "bad tower rank: exponents must strictly decrease (at position 6)", 6),
+    ("tower(2 + w)", ParseError, "bad tower rank: exponents must strictly decrease (at position 10)", 10),
+    ("tower(w^2 + 3 + w)", ParseError, "bad tower rank: exponents must strictly decrease (at position 16)", 16),
+    ("tower(w^2 + w*0 + 1)", ParseError, "bad tower rank: zero coefficient is not canonical (at position 12)", 12),
     ("tower(w^2 + w)", ParseError, f"{_LIMIT_RANK} (at position 0)", 0),
     ("tower", ParseError, "expected '(', found 'end of input' (at position 5)", 5),
     ("tower 3", ParseError, "expected '(', found '3' (at position 6)", 6),
@@ -234,6 +237,60 @@ def test_self_duality_law(e):
 @given(space_exprs())
 def test_dual_involution_law(e):
     assert normalize(Dual(Dual(e))) == normalize(e)
+
+
+def test_leaves_left_to_right():
+    e = Sum(Sum(FAN, Dual(COFAN)), Sum(CANTOR, Con(Sum(FAN, FAN))))
+    assert list(leaves(e)) == [FAN, Dual(COFAN), CANTOR, Con(Sum(FAN, FAN))]
+    assert list(leaves(Dual(Sum(FAN, FAN)))) == [Dual(Sum(FAN, FAN))]
+    assert not is_normal(e) and not is_normal(Con(FAN))
+    assert is_normal(Sum(FAN, Sum(CANTOR, FAN)))
+
+
+def _wrapped(e, wrappers):
+    for wrap in wrappers:
+        e = wrap(e)
+    return e
+
+
+_TWO_CHAIN = construct_poset(["a", "b"], [("a", "b")])
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize("wrappers,nf", [
+    # an even number of duals cancels
+    ([Dual] * _DEEP, Fin(_TWO_CHAIN)),
+    ([Dual] * (_DEEP - 1), Fin(_TWO_CHAIN.dual())),
+    # one con anywhere in the chain gives the patch space
+    ([Dual] * (_DEEP // 2) + [Con] + [Dual] * (_DEEP // 2 - 1),
+     Fin(construct_poset(["a", "b"], []))),
+])
+def test_deep_dual_con_chain_needs_no_recursion(wrappers, nf):
+    e = _wrapped(Fin(_TWO_CHAIN), wrappers)
+    assert normalize(e) == nf
+    assert not is_normal(e)
+    assert analyze(e) == analyze(nf)
+    assert evaluate(e) == evaluate(nf)
+
+
+def test_deep_sum_spine_needs_no_recursion():
+    # sum(dual(fan), sum(con(cofan), ... sum(dual(fan), cantor)))
+    depth = 10_000
+    e = CANTOR
+    for k in range(depth):
+        e = Sum(Dual(FAN) if k % 2 else Con(COFAN), e)
+    nf = normalize(e)
+    expected = [COFAN if k % 2 else OMEGA_PLUS_ONE for k in reversed(range(depth))] + [CANTOR]
+    assert list(leaves(nf)) == expected
+    spine, node = 0, nf
+    while isinstance(node, Sum):
+        spine, node = spine + 1, node.right
+    assert spine == depth
+    assert is_normal(nf) and not is_normal(e)
+    # cantor is its own dual and is not scattered, so LTG fails (Thm 7.8)
+    assert analyze(e) == analyze(Sum(COFAN, Sum(OMEGA_PLUS_ONE, CANTOR)))
+    assert evaluate(e) == evaluate(Sum(COFAN, Sum(OMEGA_PLUS_ONE, CANTOR)))
+    assert evaluate(e).ltg is Ltg.FAILS
 
 
 def test_tower_constructor_rejects_limits():

@@ -175,6 +175,33 @@ def test_suite_catches_injected_rank_mutation():
     assert "poset" in failing.counterexample
 
 
+@pytest.mark.parametrize("config", [
+    SuiteConfig(oracle_random_count=1, oracle_random_size=16),
+    SuiteConfig(exhaustive_max=7),
+])
+def test_suite_refuses_sizes_beyond_the_enumeration_up_front(monkeypatch, config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no poset may be built before the size check")
+
+    monkeypatch.setattr("spectop.oracle.random_poset", refuse)
+    monkeypatch.setattr("spectop.oracle.enumerate_labeled_posets", refuse)
+    with pytest.raises(SizeError):
+        run_property_suite(config)
+
+
+def test_suite_sizes_at_the_bound_are_accepted():
+    # the size bound on random oracle posets applies only when some are asked for
+    report = run_property_suite(SuiteConfig(exhaustive_max=1, oracle_random_count=0,
+                                            oracle_random_size=100, law_random_count=0,
+                                            corpus_count=0, check_gallery=False))
+    assert report.passed
+    # at the enumeration guard itself
+    report = run_property_suite(SuiteConfig(exhaustive_max=-1, oracle_random_count=3,
+                                            oracle_random_size=15, law_random_count=0,
+                                            corpus_count=0, check_gallery=False))
+    assert report.passed
+
+
 def test_suite_rejects_unknown_mutation():
     with pytest.raises(ValueError):
         run_property_suite(SuiteConfig(mutate="nope"))
