@@ -24,7 +24,7 @@ from .oracle import (ExplicitTopology, SuiteConfig, SuiteReport,
                      oracle_rank, oracle_scattered, random_expr, random_poset,
                      run_property_suite)
 from .ordinal import OMEGA as OMEGA_ORDINAL
-from .ordinal import ONE, ZERO, Ordinal, compare, ordinal_max, parse_cnf
+from .ordinal import ONE, ZERO, Ordinal, parse_cnf
 from .poset import FinitePoset, construct_poset, export
 
 __version__ = "0.1.0"

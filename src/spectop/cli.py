@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or resolution
-error, 3 metadata conflict, 4 resource refusal (size budgets and nesting
-deeper than the recursion limit).  ``--json`` switches every command to
+error, 3 metadata conflict, 4 resource refusal (size budgets; nesting depth
+alone is never refused).  ``--json`` switches every command to
 line-delimited JSON on stdout.
 
 ``main`` is cheap to call repeatedly in one process: the argument parser is
@@ -307,9 +307,6 @@ def main(argv=None) -> int:
         return 3
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RecursionError:
-        print("error: input nested deeper than the recursion limit", file=sys.stderr)
         return 4
     except (SpectopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

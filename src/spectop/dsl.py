@@ -42,9 +42,10 @@ space is a Stone space, hence self-dual) and con is idempotent.  Each
 leaf's dual or patch form is then built once, at the leaf.
 
 Parsing tokenizes the text in one regex pass (an identifier or one other
-non-space character per token) and walks the token list by recursive
-descent; every ``ParseError`` names the character offset of the offending
-token.
+non-space character per token) and walks the token list once with a stack
+of the combinators still open, as printing walks the tree with a stack, so
+neither is bounded by the recursion limit; every ``ParseError`` names the
+character offset of the offending token.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ CANTOR = Cantor()
 
 # What a chain of dual/con nodes above a subtree does to it: nothing, the
 # Hochster dual, or the patch topology.
-_KEEP, _DUAL, _PATCH = "keep", "dual", "patch"
+_KEEP, _DUAL, _PATCH = range(3)
 
 # the primitives that a wrapper changes; omega1, cantor and towers are Stone
 # spaces, hence self-dual and their own patch space
@@ -184,30 +185,40 @@ def is_normal(e: SpaceExpr) -> bool:
 
 # -- printing --------------------------------------------------------------
 
+# Each name of the grammar, spelled only here: the parser reads this table
+# and the printer its inverse.  A primitive maps to its one value, any other
+# name to its class and the number of expressions it takes; tower and fin
+# take none, since their bodies have grammars of their own.
+_GRAMMAR: dict[str, object] = {
+    "fan": FAN, "cofan": COFAN, "omega1": OMEGA_PLUS_ONE, "cantor": CANTOR,
+    "dual": (Dual, 1), "con": (Con, 1), "sum": (Sum, 2), "tower": (Tower, 0), "fin": (Fin, 0),
+}
+_NAME = {entry[0] if isinstance(entry, tuple) else type(entry): name for name, entry in _GRAMMAR.items()}
+
 
 def print_expr(e: SpaceExpr) -> str:
-    match e:
-        case Fan():
-            return "fan"
-        case CoFan():
-            return "cofan"
-        case OmegaPlusOne():
-            return "omega1"
-        case Cantor():
-            return "cantor"
-        case Tower(rank):
-            return f"tower({rank})"
-        case Fin(p):
-            labels = ",".join(p.elements)
-            covers = ",".join(f"{a}<{b}" for a, b in p.covers)
-            return "fin{" + labels + ";" + covers + "}"
-        case Dual(inner):
-            return f"dual({print_expr(inner)})"
-        case Con(inner):
-            return f"con({print_expr(inner)})"
-        case Sum(left, right):
-            return f"sum({print_expr(left)}, {print_expr(right)})"
-    raise TypeError(f"not a space expression: {e!r}")
+    """The text of ``e``, which parses back to ``e``.  An explicit stack holds
+    text pieces and subtrees still to print; the pieces are joined once."""
+    pieces: list[str] = []
+    todo: list = [e]
+    while todo:
+        node = todo.pop()
+        text = node if isinstance(node, str) else _NAME.get(type(node))
+        if text is None:
+            raise TypeError(f"not a space expression: {node!r}")
+        if isinstance(node, Sum):
+            text += "("
+            todo += (")", node.right, ", ", node.left)
+        elif isinstance(node, (Dual, Con)):
+            text += "("
+            todo += (")", node.inner)
+        elif isinstance(node, Tower):
+            text += f"({node.rank})"
+        elif isinstance(node, Fin):
+            p = node.poset
+            text += "{" + ",".join(p.elements) + ";" + ",".join(f"{a}<{b}" for a, b in p.covers) + "}"
+        pieces.append(text)
+    return "".join(pieces)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -220,7 +231,7 @@ _TOKEN = re.compile(r"\w+|\S")
 
 
 class _Parser:
-    """Recursive descent over one tokenization of the text.
+    """One left-to-right walk over one tokenization of the text.
 
     ``tokens`` lists the tokens, then ``""`` for the end of input, and ``i``
     indexes the next unread one.  Character offsets are needed only for an
@@ -267,40 +278,43 @@ class _Parser:
         self.i += 1
         return token
 
-    def expr(self) -> SpaceExpr:
-        head_at = self.i
-        head = self.ident()
-        if head == "fan":
-            return FAN
-        if head == "cofan":
-            return COFAN
-        if head == "omega1":
-            return OMEGA_PLUS_ONE
-        if head == "cantor":
-            return CANTOR
-        if head == "tower":
-            return self._tower(head_at)
-        if head == "fin":
-            return self._fin(head_at)
-        if head in ("dual", "con"):
-            self.expect("(")
-            inner = self.expr()
-            if self.tokens[self.i] == ",":
-                raise self.error(f"{head} takes exactly one argument", ArityError)
-            self.expect(")")
-            return Dual(inner) if head == "dual" else Con(inner)
-        if head == "sum":
-            self.expect("(")
-            left = self.expr()
-            if self.tokens[self.i] == ")":
-                raise self.error("sum takes exactly two arguments", ArityError)
-            self.expect(",")
-            right = self.expr()
-            if self.tokens[self.i] == ",":
-                raise self.error("sum takes exactly two arguments", ArityError)
-            self.expect(")")
-            return Sum(left, right)
-        raise ParseError(f"unknown space {head!r}", self.start(head_at))
+    def parse(self) -> SpaceExpr:
+        """The whole text, as one expression.  A stack holds the combinators
+        still open, each with the arguments read so far; a finished node is
+        an argument of the innermost one, which it may finish in turn."""
+        open_: list[tuple[str, type, int, list]] = []
+        while True:
+            head_at = self.i
+            head = self.ident()
+            entry = _GRAMMAR.get(head)
+            if entry is None:
+                raise ParseError(f"unknown space {head!r}", self.start(head_at))
+            if not isinstance(entry, tuple):
+                node = entry
+            elif not entry[1]:  # tower or fin: a body with its own grammar
+                node = (self._tower if entry[0] is Tower else self._fin)(head_at)
+            else:
+                self.expect("(")
+                open_.append((head, *entry, []))
+                continue
+            while open_:
+                head, make, arity, args = open_[-1]
+                args.append(node)
+                more = len(args) < arity
+                # the separator that is not due here means a wrong arity
+                if self.tokens[self.i] == (")" if more else ","):
+                    words = "one argument" if arity == 1 else "two arguments"
+                    raise self.error(f"{head} takes exactly {words}", ArityError)
+                if more:
+                    self.expect(",")
+                    break  # read the next argument
+                self.expect(")")
+                open_.pop()
+                node = make(*args)
+            else:
+                if self.tokens[self.i]:
+                    raise self.error(f"trailing input {self.found()}")
+                return node
 
     def _tower(self, head_at: int) -> Tower:
         # the ordinal has its own grammar, so its body goes to parse_cnf as text
@@ -325,11 +339,10 @@ class _Parser:
         tokens = self.tokens
         labels: list[str] = []
         if tokens[self.i] not in (";", "}"):
-            while True:
-                labels.append(self.ident())
-                if tokens[self.i] != ",":
-                    break
+            labels.append(self.ident())
+            while tokens[self.i] == ",":
                 self.i += 1
+                labels.append(self.ident())
         self.expect(";")
         covers: list[tuple[str, str]] = []
         if tokens[self.i] != "}":
@@ -349,8 +362,4 @@ class _Parser:
 
 def parse_expr(text: str) -> SpaceExpr:
     """Parse an expression; raises ParseError (with position) on bad input."""
-    p = _Parser(text)
-    e = p.expr()
-    if p.tokens[p.i]:
-        raise p.error(f"trailing input {p.found()}")
-    return e
+    return _Parser(text).parse()

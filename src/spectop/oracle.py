@@ -30,8 +30,10 @@ from .ordinal import parse_cnf
 from .poset import FinitePoset, construct_poset
 
 _PAIR_BUDGET = 4096 * 4096
-# down-set enumeration scans 2^n masks, so oracle posets stay this small
-ORACLE_MAX_SIZE = 15
+# the largest n with 3 * 2^(n - 2) <= 4096: an n-element poset that is not an
+# antichain (a power set needs no closure check) has at most that many
+# down-sets, so every oracle poset's opens fit _PAIR_BUDGET
+ORACLE_MAX_SIZE = 12
 # exhaustive enumeration scans 2^(n(n-1)/2) relations times n! relabelings
 EXHAUSTIVE_MAX = 6
 
@@ -89,11 +91,11 @@ class ExplicitTopology:
         return frozenset(x for i, x in enumerate(self.points) if mask >> i & 1)
 
 
-def downset_topology(poset: FinitePoset, max_size: int = ORACLE_MAX_SIZE) -> ExplicitTopology:
+def downset_topology(poset: FinitePoset) -> ExplicitTopology:
     """Enumerate every down-set of the order as an explicit open family."""
     n = len(poset)
-    if n > max_size:
-        raise SizeError(f"{n} elements exceeds the enumeration guard of {max_size}")
+    if n > ORACLE_MAX_SIZE:
+        raise SizeError(f"{n} elements exceeds the enumeration guard of {ORACLE_MAX_SIZE}")
     labels = poset.elements
     below = [0] * n
     for i, x in enumerate(labels):

@@ -103,17 +103,6 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega()
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
-
-
-def ordinal_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return b if a < b else a
-
-
 _TOKEN = re.compile(r"\s*(?:(\d+)|(w)|([+^*]))")
 
 

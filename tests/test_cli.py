@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spectop
 from spectop import cli
 from spectop.cli import main
 from spectop.gallery import catalog
@@ -102,11 +106,63 @@ def test_absolutely_flat_on_boolean_spectrum(capsys, target):
     assert code == 0 and lines[0]["meta"]["absolutely_flat"] is True
 
 
-@pytest.mark.parametrize("command", ["eval", "verdict"])
-def test_deep_nesting_exit_4(capsys, command):
-    code, out, err = run(capsys, command, "dual(" * 3000 + "fan" + ")" * 3000, "--json")
-    assert code == 4 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "nested" in err
+# Runs the requests on standard input through main() in a fresh interpreter
+# whose recursion limit is far below every nesting depth they spell, so a
+# step of eval, verdict or export that recursed once per level would fail.
+_LOW_RECURSION_LIMIT_CLI = """
+import contextlib, io, json, sys
+from spectop.cli import main
+sys.setrecursionlimit(200)
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def run_with_low_recursion_limit(requests):
+    src = os.path.dirname(os.path.dirname(spectop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LOW_RECURSION_LIMIT_CLI], input=json.dumps(requests),
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+# (text, its normal form's text, a short text with the same attributes and verdict)
+_DEEP_NESTS = [
+    ("dual(" * 3000 + "fan" + ")" * 3000, "fan", "fan"),
+    ("con(" * 3000 + "cofan" + ")" * 3000, "omega1", "omega1"),
+    ("dual(" * 99_999 + "fan" + ")" * 99_999, "cofan", "cofan"),
+    ("dual(con(" * 50_000 + "fan" + "))" * 50_000, "omega1", "omega1"),
+    ("sum(dual(fan), " * 10_000 + "cantor" + ")" * 10_000,
+     "sum(cofan, " * 10_000 + "cantor" + ")" * 10_000, "sum(cofan, cantor)"),
+    ("sum(" * 10_000 + "fin{a;}" + ", con(fan))" * 10_000,
+     "sum(" * 10_000 + "fin{a;}" + ", omega1)" * 10_000, "sum(fin{a;}, omega1)"),
+]
+
+
+def test_deep_nesting_needs_no_recursion(capsys):
+    requests = [[command, text, "--json"] for text, _, _ in _DEEP_NESTS for command in ("eval", "verdict")]
+    parts = 3000
+    requests.append(["export", "sum(fin{a,b;a<b}, " * (parts - 1) + "fin{a,b;a<b}" + ")" * (parts - 1)])
+    replies = run_with_low_recursion_limit(requests)
+    assert len(replies) == len(requests)
+    for (_, normal, short), (eval_reply, verdict_reply) in zip(_DEEP_NESTS, zip(replies[::2], replies[1::2])):
+        assert eval_reply[0] == verdict_reply[0] == 0 and eval_reply[2] == verdict_reply[2] == ""
+        evaluated, judged = json.loads(eval_reply[1]), json.loads(verdict_reply[1])
+        assert evaluated["normalized"] == judged["space"] == normal
+        _, (short_eval,), _ = run_json(capsys, "eval", short)
+        # wrapped, so that the target names no gallery entry
+        _, (short_verdict,), _ = run_json(capsys, "verdict", f"dual(dual({short}))")
+        assert evaluated["analysis"] == short_eval["analysis"]
+        assert judged["verdict"] == short_verdict["verdict"]
+    code, out, err = replies[-1]
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "labels": [f"s{k}_{x}" for k in range(parts) for x in "ab"],
+        "covers": [[f"s{k}_a", f"s{k}_b"] for k in range(parts)],
+    }
 
 
 @pytest.mark.parametrize("command", ["eval", "verdict"])
@@ -205,8 +261,10 @@ def test_oracle_command_passes(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--count", "1", "--max-size", "100"],
-     "random oracle posets of up to 100 elements exceed the enumeration guard of 15"),
+     "random oracle posets of up to 100 elements exceed the enumeration guard of 12"),
     (["--exhaustive-max", "9"], "exhaustive enumeration up to 9 elements exceeds the bound of 6"),
+    (["--count", "1", "--max-size", "13", "--exhaustive-max", "-1"],
+     "random oracle posets of up to 13 elements exceed the enumeration guard of 12"),
 ])
 def test_oracle_sizes_beyond_the_enumeration_exit_4(capsys, argv, message):
     code, out, err = run(capsys, "oracle", *argv)

@@ -293,6 +293,32 @@ def test_deep_sum_spine_needs_no_recursion():
     assert evaluate(e).ltg is Ltg.FAILS
 
 
+def _dual_con_chain():
+    e = Fin(_TWO_CHAIN)
+    for k in range(_DEEP):
+        e = Con(e) if k % 2 else Dual(e)
+    return e, "con(dual(" * (_DEEP // 2) + "fin{a,b;a<b}" + "))" * (_DEEP // 2)
+
+
+def _sum_spine(left: bool):
+    depth, e = 10_000, FAN
+    for _ in range(depth):
+        e = Sum(e, Dual(CANTOR)) if left else Sum(Dual(CANTOR), e)
+    if left:
+        return e, "sum(" * depth + "fan" + ", dual(cantor))" * depth
+    return e, "sum(dual(cantor), " * depth + "fan" + ")" * depth
+
+
+@pytest.mark.parametrize("build", [_dual_con_chain, lambda: _sum_spine(True), lambda: _sum_spine(False)],
+                         ids=["dual-con-chain", "left-sum-spine", "right-sum-spine"])
+def test_deep_print_parse_print_roundtrip(build):
+    # compared as text: dataclass == on trees this deep would itself recurse
+    e, expected = build()
+    text = print_expr(e)
+    assert text == expected
+    assert print_expr(parse_expr(text)) == text
+
+
 def test_tower_constructor_rejects_limits():
     with pytest.raises(ValueError):
         Tower(parse_cnf("w"))

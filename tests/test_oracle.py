@@ -47,6 +47,12 @@ def test_downset_topology_size_guard():
     big = construct_poset([f"v{i}" for i in range(16)], [])
     with pytest.raises(SizeError):
         downset_topology(big)
+    # one cover: 3 * 2^(n - 2) down-sets, within the closure check's budget at
+    # the guard's 12 elements, refused by the guard at 13
+    labels = [f"v{i}" for i in range(13)]
+    assert len(downset_topology(construct_poset(labels[:12], [("v0", "v1")])).opens) == 3072
+    with pytest.raises(SizeError, match="enumeration guard of 12"):
+        downset_topology(construct_poset(labels, [("v0", "v1")]))
 
 
 def test_explicit_topology_rejects_bad_families():
@@ -197,7 +203,7 @@ def test_suite_sizes_at_the_bound_are_accepted():
     assert report.passed
     # at the enumeration guard itself
     report = run_property_suite(SuiteConfig(exhaustive_max=-1, oracle_random_count=3,
-                                            oracle_random_size=15, law_random_count=0,
+                                            oracle_random_size=12, law_random_count=0,
                                             corpus_count=0, check_gallery=False))
     assert report.passed
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from spectop import Ordinal, ParseError, compare, ordinal_max, parse_cnf
+from spectop import Ordinal, ParseError, parse_cnf
 from spectop.ordinal import OMEGA, ZERO
 
 from conftest import ordinals
@@ -29,10 +29,10 @@ def test_parse_rejects_non_canonical(text):
 
 
 def test_compare_examples():
-    assert ordinal_max(parse_cnf("w*2 + 1"), parse_cnf("w*3")) == parse_cnf("w*3")
+    assert max(parse_cnf("w*2 + 1"), parse_cnf("w*3")) == parse_cnf("w*3")
     assert OMEGA.successor() == parse_cnf("w + 1")
-    assert compare(Ordinal.from_int(5), OMEGA) == -1
-    assert compare(OMEGA, OMEGA) == 0
+    assert Ordinal.from_int(5) < OMEGA and not OMEGA < Ordinal.from_int(5)
+    assert OMEGA == OMEGA and not OMEGA < OMEGA
 
 
 def test_successor_and_limit_classification():
@@ -52,7 +52,8 @@ def test_bad_cnf_construction_rejected():
 
 @given(st.integers(0, 999), st.integers(0, 999))
 def test_finite_order_agrees_with_integers(a, b):
-    assert compare(Ordinal.from_int(a), Ordinal.from_int(b)) == (a > b) - (a < b)
+    alpha, beta = Ordinal.from_int(a), Ordinal.from_int(b)
+    assert (alpha < beta, alpha == beta, alpha > beta) == (a < b, a == b, a > b)
 
 
 @given(ordinals())
@@ -68,17 +69,17 @@ def test_successor_strictly_increases(alpha):
 
 @given(ordinals(), ordinals(), ordinals())
 def test_max_laws(a, b, c):
-    assert ordinal_max(a, a) == a
-    assert ordinal_max(a, b) == ordinal_max(b, a)
-    assert ordinal_max(ordinal_max(a, b), c) == ordinal_max(a, ordinal_max(b, c))
-    assert ordinal_max(a, b) in (a, b)
+    assert max(a, a) == a
+    assert max(a, b) == max(b, a)
+    assert max(max(a, b), c) == max(a, max(b, c))
+    assert max(a, b) in (a, b)
 
 
 @given(ordinals(), ordinals())
 def test_compare_total(a, b):
-    assert compare(a, b) == -compare(b, a)
-    if compare(a, b) == 0:
-        assert a == b
+    # exactly one of a < b, a == b, b < a holds, and > is < reversed
+    assert [a < b, a == b, b < a].count(True) == 1
+    assert (a < b) == (b > a)
 
 
 def test_to_int():
