@@ -4,11 +4,15 @@
 Shapes: ``random`` (``random_dag`` at --density), ``chain`` (one path
 through permuted node ids, edges in shuffled order), ``antichain`` (no
 edges) and ``fan`` (every point under one sink).  Node counts run
-10^4, 10^5, ... up to --max-nodes.  Each point records the wall seconds of
-generation, the peel (``seconds_layering``) and the certificate
-(``seconds_check``); one JSON line per point goes to stdout, and --out
-also writes them all to one JSON file.  Exits 1 if any layering fails its
-certificate.
+10^4, 10^5, ... up to --max-nodes.  Each shape is written out as "u v"
+edge-list text and read back with ``read_edge_list``, and the layering
+runs on the edges read.  Each point records the wall seconds of
+generation, ingest (``seconds_ingest``, the read alone), the peel
+(``seconds_layering``) and the certificate (``seconds_check``); ``agree``
+says that the edges read equal the edges generated and that the layering
+passes its certificate.  One JSON line per point goes to stdout, and
+--out also writes them all to one JSON file.  Exits 1 if any point does
+not agree.
 
 Usage: python scripts/bench_sweep.py [--max-nodes N] [--density D] [--seed N]
                                      [--out BENCH_layering.json]
@@ -23,7 +27,7 @@ import time
 
 import numpy as np
 
-from spectop.bench import random_dag, run_bench
+from spectop.bench import random_dag, read_edge_list, run_bench
 
 
 def _chain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -63,14 +67,20 @@ def main() -> int:
             started = time.perf_counter()
             tails, heads = generate(nodes, np.random.default_rng(args.seed))
             seconds_generation = time.perf_counter() - started
-            result = run_bench(nodes, edges=(tails, heads))
+            text = "".join(f"{u} {v}\n" for u, v in zip(tails.tolist(), heads.tolist()))
+            started = time.perf_counter()
+            _, tails_read, heads_read = read_edge_list(text)
+            seconds_ingest = time.perf_counter() - started
+            result = run_bench(nodes, edges=(tails_read, heads_read))
             point = {
                 "shape": shape,
                 "nodes": nodes,
                 "edges": result.edges,
                 "rank": result.rank,
-                "agree": result.agree,
+                "agree": bool(result.agree and np.array_equal(tails_read, tails)
+                              and np.array_equal(heads_read, heads)),
                 "seconds_generation": round(seconds_generation, 4),
+                "seconds_ingest": round(seconds_ingest, 4),
                 "seconds_layering": round(result.seconds_layering, 4),
                 "seconds_check": round(result.seconds_check, 4),
             }

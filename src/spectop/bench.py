@@ -98,8 +98,11 @@ def check_threads(threads: int) -> None:
 
 
 def _csr(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``sorted_heads`` as native-endian, C-contiguous int64,
+    the layout the thin peel's ``memoryview``s need, whatever the caller
+    passed."""
     order = np.argsort(tails, kind="stable")
-    sorted_heads = heads[order]
+    sorted_heads = heads.astype(np.int64, copy=False)[order]
     indptr = np.zeros(nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=nodes), out=indptr[1:])
     return indptr, sorted_heads
@@ -110,19 +113,23 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
     """Scalar Kahn levels from a frontier of fewer than ``THIN_FRONTIER``
     nodes, for as long as each level has fewer out-edges than that (so the
     next frontier is thin too).  Returns the first frontier left unpeeled,
-    empty or with too many out-edges, and its level."""
+    empty or with too many out-edges, and its level.  The arrays are read
+    and written through ``memoryview``s, which give and take plain ints
+    where numpy indexing would box a scalar per access."""
+    starts, successors, remaining, layers = (memoryview(a) for a in (indptr, sorted_heads, indegree, layer))
     current = frontier.tolist()
     while current:
-        bounds = [(int(indptr[v]), int(indptr[v + 1])) for v in current]
-        if sum(end - start for start, end in bounds) >= THIN_FRONTIER:
+        out_edges = 0
+        for v in current:
+            out_edges += starts[v + 1] - starts[v]
+        if out_edges >= THIN_FRONTIER:
             break
         following = []
-        for v, (start, end) in zip(current, bounds):
-            layer[v] = level
-            for w in sorted_heads[start:end].tolist():
-                remaining = indegree[w] - 1
-                indegree[w] = remaining
-                if remaining == 0:
+        for v in current:
+            layers[v] = level
+            for w in successors[starts[v]:starts[v + 1]]:
+                remaining[w] -= 1
+                if not remaining[w]:
                     following.append(w)
         current = following
         level += 1
@@ -220,9 +227,80 @@ def longest_path_rank(nodes: int, tails: np.ndarray, heads: np.ndarray) -> int:
 
 def read_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Parse "u v" lines into (nodes, tails, heads); node ids are ints.
+    Blank lines and lines whose first non-blank character is "#" are
+    skipped.
 
     ValueError names the first bad line; SizeError refuses an id that does
     not fit in 64 bits."""
+    edges = _read_strict(text)
+    return edges if edges is not None else _read_lines(text)
+
+
+def _read_strict(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """:func:`read_edge_list` in one vectorized pass, for text in the strict
+    grammar: ASCII; tab, "\n" and "\r\n" the only control characters;
+    "u v" lines of decimal ids of at most 18 digits (so below 2**63),
+    separated by spaces or tabs; anything else only on "#" lines.  None
+    for any other text, which :func:`_read_lines` then reads, so that only
+    the line loop ever raises.  Lines are told apart by ``searchsorted``
+    over the newline positions."""
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    newlines = np.flatnonzero(b == 10)
+    returns = np.flatnonzero(b == 13)
+    # str.splitlines also breaks at other control characters
+    if np.count_nonzero(b < 32) != newlines.size + returns.size + np.count_nonzero(b == 9):
+        return None
+    if returns.size and (returns[-1] + 1 == b.size or (b[returns + 1] != 10).any()):
+        return None
+    values = b - 48
+    digit = values < 10
+    # each digit run starts and ends, alternately, where ``digit`` flips
+    runs = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2)
+    other = (b > 32) & ~digit
+    if other.any():
+        # the first such byte on a line must be a "#" with no digit before
+        # it on the line; the runs from there to the line's end are no ids
+        at = np.flatnonzero(other)
+        comments, firsts = np.unique(np.searchsorted(newlines, at), return_index=True)
+        hashes = at[firsts]
+        if (b[hashes] != 35).any():
+            return None
+        bounds = np.r_[-1, newlines, b.size]
+        lo = np.searchsorted(runs[:, 0], hashes)
+        if (np.searchsorted(runs[:, 0], bounds[comments]) != lo).any():
+            return None
+        # the counts[j] runs from lo[j] on follow the j-th "#" on its line
+        counts = np.searchsorted(runs[:, 0], bounds[comments + 1]) - lo
+        offsets = np.cumsum(counts) - counts
+        runs = np.delete(runs, np.arange(counts.sum()) + np.repeat(lo - offsets, counts), axis=0)
+    starts, ends = runs.T
+    line = np.searchsorted(newlines, starts)
+    # every line left holds no id or exactly two
+    if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        return None
+    width = int((ends - starts).max(initial=0))
+    if width > 18:
+        return None
+    # digits[p + 1] is the digit at p, and 0 at a non-digit or at p = -1, so
+    # a walk left from a run's last digit reads 0 once it stops at the byte
+    # before the run
+    digits = np.zeros(b.size + 1, dtype=np.uint8)
+    np.multiply(values, digit, out=digits[1:])
+    ids = np.zeros(starts.size, dtype=np.int64)
+    pos = ends.copy()
+    for k in range(width):
+        ids += digits[pos] * np.int64(10**k)
+        pos -= 1
+        np.maximum(pos, starts, out=pos)
+    nodes = int(ids.max()) + 1 if ids.size else 0
+    return nodes, ids[0::2].copy(), ids[1::2].copy()
+
+
+def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`read_edge_list` one line at a time; the only reader that
+    raises, so every message names its line."""
     tails, heads = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

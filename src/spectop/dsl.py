@@ -140,7 +140,10 @@ _JOIN = object()  # on the work stack: the next two finished trees are summands
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
     """The unique dual/con-free normal form of ``e``, in one pass with an
-    explicit stack that carries the pending wrapper down to the leaves."""
+    explicit stack that carries the pending wrapper down to the leaves;
+    ``e`` itself when it is normal already."""
+    if is_normal(e):
+        return e
     todo: list = [(e, _KEEP)]
     done: list[SpaceExpr] = []
     while todo:

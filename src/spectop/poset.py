@@ -350,9 +350,12 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
     ``covers``; rejects cycles, unknown labels and labels that are not
     DSL identifiers."""
     labels = list(labels)
-    for lab in labels:
-        if not (isinstance(lab, str) and IDENTIFIER.fullmatch(lab)):
-            raise ValueError(f"label {lab!r} is not an identifier (letters, digits, underscore)")
+    # one match over the joined labels; only a failure looks label by label,
+    # to name the first bad one
+    if not (all(isinstance(lab, str) and lab for lab in labels) and IDENTIFIER.fullmatch("".join(labels))):
+        for lab in labels:
+            if not (isinstance(lab, str) and IDENTIFIER.fullmatch(lab)):
+                raise ValueError(f"label {lab!r} is not an identifier (letters, digits, underscore)")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}

@@ -3,7 +3,7 @@ import time
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from spectop import CycleError, SizeError, bench, construct_poset, run_bench
 from spectop.bench import (MAX_THREADS, THIN_FRONTIER, cb_layering,
@@ -98,6 +98,108 @@ def test_read_edge_list_errors():
     assert nodes == 2**63 and heads.tolist() == [2**63 - 1]
     with pytest.raises(SizeError):
         run_bench(nodes, edges=(np.zeros(1, dtype=np.int64), heads))
+
+
+def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """The line-at-a-time reader: the reference ``read_edge_list`` must
+    match on every input, result or error."""
+    tails, heads = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: node ids must be non-negative")
+        tails.append(u)
+        heads.append(v)
+    nodes = max(tails + heads) + 1 if tails else 0
+    try:
+        return nodes, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    except OverflowError:
+        raise SizeError(f"node id {nodes - 1} does not fit in 64 bits") from None
+
+
+def _outcome(read, text: str):
+    try:
+        nodes, tails, heads = read(text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    assert tails.dtype == np.int64 and heads.dtype == np.int64
+    return nodes, tails.tolist(), heads.tolist()
+
+
+# Tokens on both sides of the strict grammar: ids of up to 20 digits and
+# around 2**63, signs, underscores, a non-ASCII digit, and the characters
+# str.splitlines breaks at besides "\n".
+_SOUP = ["0", "1", "7", "42", "007", " ", " ", "\t", "\n", "\n", "\r\n", "\r", "#", "# 5", "x", "\x7f",
+         "1" * 18, "9" * 18, "1" * 19, "9" * 19, "1" * 20, str(2**63 - 1), str(2**63),
+         "-1", "+2", "1.5", "1_0", "\u0663", "\x0b", "\x0c", "\x85", "\x1c"]
+_ID = st.integers(min_value=0, max_value=10**6).map(str) | st.sampled_from(
+    ["00", "9" * 18, "1" * 19, "9" * 19, str(2**63 - 1), str(2**63), "1" * 20])
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_SOUP_TEXT = st.lists(st.sampled_from(_SOUP), max_size=6).map("".join)
+_VALID_LINE = st.one_of(
+    st.tuples(_BLANK, _ID, _BLANK.map(lambda b: b or " "), _ID, _BLANK).map("".join),
+    _BLANK,
+    st.tuples(_BLANK, st.sampled_from(["#", "# 12 x", "#3\t4", "#~!"])).map("".join),
+)
+# What may stand between two ids: blanks, and what takes the strict reader
+# off its path.
+_SEPARATORS = [" ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\x7f", "#", "_", ".", "+", "-",
+               "\u0663", "x"]
+# One line that may take the strict reader off its path, among valid ones,
+# so that no other line decides the outcome first.
+_PROBE_LINE = st.one_of(
+    st.lists(_ID, min_size=1, max_size=4).map(" ".join),
+    st.tuples(_ID, st.sampled_from(_SEPARATORS), _ID).map("".join),
+    st.tuples(st.lists(_ID, min_size=1, max_size=2).map(" ".join), _BLANK,
+              st.sampled_from(["#", "# 1 2", "#x"])).map("".join),
+    st.tuples(_BLANK, st.just("#"), _SOUP_TEXT).map("".join),
+    _SOUP_TEXT,
+)
+
+
+def _text_around(lines: list[str], probe: str, at: int, newline: str, end: str) -> str:
+    return newline.join(lines[:at] + [probe] + lines[at:]) + end
+
+
+_EDGE_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_SOUP), max_size=40).map("".join),
+    st.builds(_text_around, st.lists(_VALID_LINE, max_size=8), _PROBE_LINE, st.integers(min_value=0, max_value=8),
+              st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n"])),
+)
+
+
+@settings(max_examples=400)
+@given(_EDGE_TEXTS)
+@example("#\x0b0")
+@example("0\x0c1")
+@example("0\r1")
+@example("0 1 2 3")
+@example("1 2 # x")
+@example(f"{'9' * 19} 0")
+def test_read_edge_list_matches_the_line_loop(text):
+    assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
+
+
+def test_strict_grammar_is_read_in_one_pass():
+    for text in ("", "\n\n", "0 1", "0 1\r\n1 2\r\n", " 3\t4 \n# 5 6 x\n\t# y\n12 000000000000000012\n",
+                 f"# header\n{'9' * 18} 0\n"):
+        assert bench._read_strict(text) is not None, repr(text)
+        assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
+
+
+def test_bad_line_far_down_is_named():
+    text = "0 1\n" * 100_000 + "0 x\n"
+    with pytest.raises(ValueError, match=r"^line 100001: node ids must be integers, got '0 x'$"):
+        read_edge_list(text)
 
 
 def test_cycle_detection():
@@ -211,9 +313,18 @@ def shaped_dags(draw):
     return n, ids[np.array(tails, dtype=np.int64)], ids[np.array(heads, dtype=np.int64)]
 
 
-@given(shaped_dags())
-def test_layering_matches_poset_layers_per_node(dag):
+def _laid_out(ids: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "strided":
+        return np.repeat(ids, 2)[::2]
+    return ids.astype(layout)
+
+
+@given(shaped_dags(), st.sampled_from(["int64", "int32", ">i8", "strided"]))
+def test_layering_matches_poset_layers_per_node(dag, layout):
+    """Also on int32, big-endian and non-contiguous edge arrays, which the
+    CSR build turns into the layout the thin peel reads."""
     nodes, tails, heads = dag
+    tails, heads = _laid_out(tails, layout), _laid_out(heads, layout)
     layer = cb_layering(nodes, tails, heads)
     labels = [f"v{i}" for i in range(nodes)]
     poset = construct_poset(labels, [(f"v{t}", f"v{h}") for t, h in zip(tails.tolist(), heads.tolist())])

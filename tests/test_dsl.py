@@ -226,7 +226,7 @@ def test_normalize_produces_normal_forms(e):
 @given(space_exprs())
 def test_normalize_idempotent(e):
     nf = normalize(e)
-    assert normalize(nf) == nf
+    assert normalize(nf) is nf
 
 
 @given(space_exprs())

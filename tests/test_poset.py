@@ -60,6 +60,20 @@ def test_construct_rejects_non_identifier_labels(label):
         construct_poset([label, "c"], [])
 
 
+@pytest.mark.parametrize("labels, first_bad", [
+    (["a", "b c", "d-e"], "'b c'"),
+    (["ab", "", "c d"], "''"),
+    (["a", 1, ""], "1"),
+    (["a", None], "None"),
+    (["x_1", "é9", "y-z", "w w"], "'y-z'"),
+    (["a\nb"], "'a\\nb'"),
+])
+def test_construct_names_the_first_bad_label(labels, first_bad):
+    with pytest.raises(ValueError) as raised:
+        construct_poset(labels, [])
+    assert str(raised.value) == f"label {first_bad} is not an identifier (letters, digits, underscore)"
+
+
 def test_transitive_input_reduces_to_covers():
     direct = construct_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with_shortcut = construct_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
