@@ -291,7 +291,9 @@ def _read_strict(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
     ids = np.zeros(starts.size, dtype=np.int64)
     pos = ends.copy()
     for k in range(width):
-        ids += digits[pos] * np.int64(10**k)
+        # multiply in int64: numpy 1's value-based casting would keep
+        # uint8 * 10**k in the smallest unsigned type holding 10**k
+        ids += np.multiply(digits[pos], 10**k, dtype=np.int64)
         pos -= 1
         np.maximum(pos, starts, out=pos)
     nodes = int(ids.max()) + 1 if ids.size else 0

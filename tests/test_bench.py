@@ -196,6 +196,16 @@ def test_strict_grammar_is_read_in_one_pass():
         assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
 
 
+def test_strict_reader_keeps_every_digit_place():
+    """Each place value up to 10**17, at digit 9, where a product kept in a
+    narrow integer type would wrap."""
+    ids = [int("9" * width) for width in range(1, 19)] + [300, 9 * 10**4, 9 * 10**9, 10**17]
+    text = "".join(f"{u} {u}\n" for u in ids)
+    nodes, tails, heads = bench._read_strict(text)
+    assert nodes == 10**18
+    assert tails.tolist() == heads.tolist() == ids
+
+
 def test_bad_line_far_down_is_named():
     text = "0 1\n" * 100_000 + "0 x\n"
     with pytest.raises(ValueError, match=r"^line 100001: node ids must be integers, got '0 x'$"):
