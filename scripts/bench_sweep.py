@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Layering benchmark sweep: four DAG shapes x node counts, per-phase seconds.
+"""Layering benchmark sweep: five DAG shapes x node counts, per-phase seconds.
 
 Shapes: ``random`` (``random_dag`` at --density), ``chain`` (one path
 through permuted node ids, edges in shuffled order), ``antichain`` (no
-edges) and ``fan`` (every point under one sink).  Node counts run
-10^4, 10^5, ... up to --max-nodes.  Each shape is written out as "u v"
-edge-list text and read back with ``read_edge_list``, and the layering
-runs on the edges read.  Each point records the wall seconds of
+edges), ``fan`` (every point under one sink) and ``dual_fan`` (one
+source over every other point: a single tail holds every edge).  Node
+counts run 10^4, 10^5, ... up to --max-nodes.  Each shape is written out
+as "u v" edge-list text and read back with ``read_edge_list``, and the
+layering runs on the edges read.  Each point records the wall seconds of
 generation, ingest (``seconds_ingest``, the read alone), the peel
-(``seconds_layering``) and the certificate (``seconds_check``); ``agree``
-says that the edges read equal the edges generated and that the layering
-passes its certificate.  One JSON line per point goes to stdout, and
---out also writes them all to one JSON file.  Exits 1 if any point does
-not agree.
+(``seconds_layering``) and the certificate (``seconds_check``);
+``agree`` says that the edges read equal the edges generated and that
+the layering passes its certificate.  One JSON line per point goes to
+stdout, and --out also writes them all to one JSON file.  Exits 1 if any
+point does not agree.
 
 Usage: python scripts/bench_sweep.py [--max-nodes N] [--density D] [--seed N]
                                      [--out BENCH_layering.json]
@@ -45,6 +46,11 @@ def _fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return ids[:-1], np.full(nodes - 1, ids[-1])
 
 
+def _dual_fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    points, hub = _fan(nodes, rng)
+    return hub, points
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -59,6 +65,7 @@ def main() -> int:
         "chain": _chain,
         "antichain": _antichain,
         "fan": _fan,
+        "dual_fan": _dual_fan,
     }
     points = []
     nodes = 10_000

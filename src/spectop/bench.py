@@ -97,15 +97,47 @@ def check_threads(threads: int) -> None:
         raise SizeError(f"{threads} threads exceeds the bound of {MAX_THREADS}")
 
 
+def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tails`` and ``heads`` as int64, after an O(m) check that they are
+    1-D integer arrays of equal length with every id in ``[0, nodes)``
+    (else ValueError) and that ``nodes**2`` fits in int64, as the CSR's
+    packed keys need (else SizeError)."""
+    for name, ids in (("tails", tails), ("heads", heads)):
+        if not isinstance(ids, np.ndarray) or ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be a 1-D integer array")
+    if tails.size != heads.size:
+        raise ValueError(f"{tails.size} tails but {heads.size} heads")
+    if nodes < 0:
+        raise ValueError("nodes must be non-negative")
+    bound = math.isqrt(np.iinfo(np.int64).max)
+    if nodes > bound:
+        raise SizeError(f"{nodes} nodes exceeds the bound of {bound}")
+    if tails.size:
+        low = min(int(tails.min()), int(heads.min()))
+        high = max(int(tails.max()), int(heads.max()))
+        if low < 0 or high >= nodes:
+            raise ValueError(f"node ids must lie in [0, {nodes}), got {low if low < 0 else high}")
+    return tails.astype(np.int64, copy=False), heads.astype(np.int64, copy=False)
+
+
 def _csr(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``indptr`` and ``sorted_heads`` as native-endian, C-contiguous int64,
+    """``indptr`` and ``sorted_heads``: each tail's heads, in ascending
+    order, at ``sorted_heads[indptr[t]:indptr[t + 1]]``.  One in-place sort
+    of the packed keys ``tail * nodes + head`` (numpy's SIMD sort,
+    O(m log m)) groups them by tail; ``key % nodes`` then decodes the
+    heads in place.  The keys are exact only for ids in ``[0, nodes)`` with
+    ``nodes**2`` in int64, which :func:`_check_edges` ensures.
+    ``sorted_heads`` is a fresh native-endian, C-contiguous int64 array,
     the layout the thin peel's ``memoryview``s need, whatever the caller
     passed."""
-    order = np.argsort(tails, kind="stable")
-    sorted_heads = heads.astype(np.int64, copy=False)[order]
+    keys = tails.astype(np.int64)
+    keys *= nodes
+    keys += heads
+    keys.sort()
+    np.remainder(keys, nodes, out=keys)
     indptr = np.zeros(nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=nodes), out=indptr[1:])
-    return indptr, sorted_heads
+    return indptr, keys
 
 
 def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_heads: np.ndarray,
@@ -140,11 +172,14 @@ def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int =
     """Layer index per node: iterated removal of sources of the DAG.
 
     Each level costs time proportional to its frontier and the frontier's
-    out-edges.  Raises CycleError when the edge list is not acyclic,
-    ValueError when ``threads`` < 1 and SizeError when it exceeds
-    ``MAX_THREADS``; ``threads`` changes nothing else.
+    out-edges.  ``tails`` and ``heads`` are 1-D integer arrays of equal
+    length with ids in ``[0, nodes)``, else ValueError; ``nodes**2`` must
+    fit in int64, else SizeError.  Raises CycleError when the edge list is
+    not acyclic, ValueError when ``threads`` < 1 and SizeError when it
+    exceeds ``MAX_THREADS``; ``threads`` changes nothing else.
     """
     check_threads(threads)
+    tails, heads = _check_edges(nodes, tails, heads)
     if nodes == 0:
         return np.empty(0, dtype=np.int64)
     indptr, sorted_heads = _csr(nodes, tails, heads)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from spectop import CycleError, SizeError, bench, construct_poset, run_bench
-from spectop.bench import (MAX_THREADS, THIN_FRONTIER, cb_layering,
+from spectop.bench import (MAX_THREADS, THIN_FRONTIER, _csr, cb_layering,
                            certify_layering, longest_path_rank, random_dag,
                            read_edge_list)
 from spectop.cli import main
@@ -212,6 +212,54 @@ def test_bad_line_far_down_is_named():
         read_edge_list(text)
 
 
+@pytest.mark.parametrize("tails, heads, message", [
+    (np.array([0, 1]), np.array([1, 3]), r"^node ids must lie in \[0, 3\), got 3$"),
+    (np.array([0, 3]), np.array([1, 2]), r"^node ids must lie in \[0, 3\), got 3$"),
+    (np.array([0, -1]), np.array([1, 2]), r"^node ids must lie in \[0, 3\), got -1$"),
+    (np.array([0, 1]), np.array([1, -2]), r"^node ids must lie in \[0, 3\), got -2$"),
+    (np.array([0.0, 1.0]), np.array([1.0, 2.0]), "^tails must be a 1-D integer array$"),
+    (np.array([0, 1]), np.array([1.0, 2.0]), "^heads must be a 1-D integer array$"),
+    (np.array([True]), np.array([True]), "^tails must be a 1-D integer array$"),
+    (np.array([[0, 1]]), np.array([[1, 2]]), "^tails must be a 1-D integer array$"),
+    ([0, 1], [1, 2], "^tails must be a 1-D integer array$"),
+    (np.array([0, 1]), np.array([1]), "^2 tails but 1 heads$"),
+    (np.array([0]), np.array([1, 2]), "^1 tails but 2 heads$"),
+])
+def test_edges_outside_the_contract_are_refused(tails, heads, message):
+    """Checked up front, so no call ends in an error from numpy's
+    internals, both directly and through run_bench."""
+    with pytest.raises(ValueError, match=message):
+        cb_layering(3, tails, heads)
+    with pytest.raises(ValueError, match=message):
+        run_bench(3, edges=(tails, heads))
+
+
+def test_empty_and_negative_node_counts():
+    with pytest.raises(ValueError, match=r"^node ids must lie in \[0, 0\), got 0$"):
+        cb_layering(0, np.array([0]), np.array([0]))
+    with pytest.raises(ValueError, match="^nodes must be non-negative$"):
+        cb_layering(-1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+
+def test_packed_keys_bound_the_node_count():
+    """nodes**2 must fit in int64; refused before any per-node array is
+    allocated."""
+    bound = 3_037_000_499
+    assert bound**2 < 2**63 <= (bound + 1) ** 2
+    tails, heads = np.array([0]), np.array([1])
+    with pytest.raises(SizeError, match=f"^{bound + 1} nodes exceeds the bound of {bound}$"):
+        cb_layering(bound + 1, tails, heads)
+    with pytest.raises(SizeError):
+        run_bench(bound + 1, node_budget=10 * bound, edges=(tails, heads))
+
+
+def test_unsigned_and_narrow_ids_are_read_as_int64():
+    for dtype in (np.uint8, np.uint32, np.uint64, np.int16):
+        tails, heads = np.array([0, 1, 0], dtype=dtype), np.array([1, 2, 2], dtype=dtype)
+        assert cb_layering(3, tails, heads).tolist() == [0, 1, 2]
+        assert run_bench(3, edges=(tails, heads)).agree
+
+
 def test_cycle_detection():
     tails = np.array([0, 1, 2], dtype=np.int64)
     heads = np.array([1, 2, 0], dtype=np.int64)
@@ -345,6 +393,27 @@ def test_layering_matches_poset_layers_per_node(dag, layout):
     assert certify_layering(nodes, tails, heads, layer)
 
 
+@settings(max_examples=200)
+@given(shaped_dags(), st.sampled_from(["int64", "int32", ">i8", "strided"]), st.data())
+def test_csr_groups_each_tails_heads(dag, layout, data):
+    """Each tail's heads, duplicates included, in a native C-contiguous
+    int64 array; a self-loop is still a cycle."""
+    nodes, tails, heads = dag
+    if tails.size:
+        repeats = data.draw(st.lists(st.integers(min_value=0, max_value=tails.size - 1), max_size=8))
+        tails, heads = np.append(tails, tails[repeats]), np.append(heads, heads[repeats])
+    tails, heads = _laid_out(tails, layout), _laid_out(heads, layout)
+    indptr, sorted_heads = _csr(nodes, tails, heads)
+    assert sorted_heads.dtype == np.dtype(np.int64) and sorted_heads.dtype.isnative
+    assert sorted_heads.flags.c_contiguous and sorted_heads.shape == tails.shape
+    assert indptr[0] == 0 and indptr[-1] == tails.size
+    for t in range(nodes):
+        assert sorted(sorted_heads[indptr[t]:indptr[t + 1]].tolist()) == sorted(heads[tails == t].tolist())
+    loop = data.draw(st.integers(min_value=0, max_value=nodes - 1))
+    with pytest.raises(CycleError):
+        cb_layering(nodes, np.append(tails, loop), np.append(heads, loop))
+
+
 def test_deep_permuted_chain_layers_in_linear_time():
     nodes = 200_000
     rng = np.random.default_rng(11)
@@ -353,3 +422,18 @@ def test_deep_permuted_chain_layers_in_linear_time():
     layer = cb_layering(nodes, ids[:-1][order], ids[1:][order])
     assert time.process_time() - started < 5.0
     assert np.array_equal(layer[ids], np.arange(nodes))
+
+
+@pytest.mark.parametrize("shape", ["fan", "dual_fan"])
+def test_wide_fans_layer_in_linear_time(shape):
+    """One sink under n - 1 sources, and one source over n - 1 sinks: the
+    widest level and the single tail with every edge."""
+    nodes = 1_000_000
+    ids = np.random.default_rng(13).permutation(nodes)
+    hub = np.full(nodes - 1, ids[-1])
+    tails, heads = (ids[:-1], hub) if shape == "fan" else (hub, ids[:-1])
+    started = time.process_time()
+    layer = cb_layering(nodes, tails, heads)
+    assert certify_layering(nodes, tails, heads, layer)
+    assert time.process_time() - started < 5.0
+    assert np.bincount(layer).tolist() == ([nodes - 1, 1] if shape == "fan" else [1, nodes - 1])
