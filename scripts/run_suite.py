@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run the full property-law suite and print the per-law table.
+"""Run the full property-law suite and print the per-law table, with the
+seconds of each block (exhaustive, random_oracle, finite_laws, corpus,
+gallery) beneath it.
 
 Usage: python scripts/run_suite.py [--seed N] [--quick]
 """

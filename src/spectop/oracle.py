@@ -9,16 +9,21 @@ bitmasks internally; the public functions speak label sets.
 ``run_property_suite`` executes the algebraic laws of the whole package
 over exhaustively enumerated small posets, random larger posets, and a
 random expression corpus, and reports per-law case counts with a first
-counterexample serialized for replay.
+counterexample serialized for replay, plus the seconds each block took.
+The oracle blocks draw each poset's subsets as masks over its element
+order, which is also the topology's point order, and run the oracle on
+those masks.  Each mask is decoded to a label set at most once per poset:
+the decoded subset is the poset method's input, and the oracle's answer
+is decoded the same way to compare with the method's.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .analysis import FieldsGenerate, Ltg, analyze, evaluate
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
@@ -42,8 +47,9 @@ EXHAUSTIVE_MAX = 6
 class ExplicitTopology:
     """A finite topology with every open set listed explicitly.
 
-    ``opens`` are bitmasks over ``points`` indices, sorted ascending.
-    Construction verifies that the family contains the empty and full
+    ``opens`` are bitmasks over ``points`` indices, sorted ascending;
+    ``members`` holds the same masks as a frozenset, built once, for
+    membership tests.  Construction verifies that the family contains the empty and full
     sets and is closed under union and intersection, checking all pairs
     (a family that is literally the power set is accepted by equality
     instead of iterating the quadratic pair scan).
@@ -51,11 +57,13 @@ class ExplicitTopology:
 
     points: tuple[str, ...]
     opens: tuple[int, ...]
+    members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.opens))
         n = len(self.points)
         full = (1 << n) - 1
-        if list(self.opens) != sorted(set(self.opens)):
+        if list(self.opens) != sorted(self.members):
             raise ValueError("opens must be distinct and sorted")
         if 0 not in self.opens or full not in self.opens:
             raise ValueError("a topology contains the empty and full sets")
@@ -65,7 +73,7 @@ class ExplicitTopology:
             return  # the power set: closed under everything by equality
         if len(self.opens) ** 2 > _PAIR_BUDGET:
             raise SizeError(f"{len(self.opens)} opens: pairwise closure check too large")
-        members = set(self.opens)
+        members = self.members
         for a in self.opens:
             for b in self.opens:
                 if b > a:
@@ -119,51 +127,54 @@ def downset_topology(poset: FinitePoset) -> ExplicitTopology:
     return ExplicitTopology(labels, tuple(opens))
 
 
+def _closure_mask(topo: ExplicitTopology, s: int) -> int:
+    """Smallest closed superset of mask ``s``: the meet of all closed supersets."""
+    full = (1 << len(topo.points)) - 1
+    meet = full
+    for u in topo.opens:
+        if not s & u:  # s lies in the closed set full - u
+            meet &= full ^ u
+    return meet
+
+
+def _isolated_mask(topo: ExplicitTopology, y: int) -> int:
+    """Points of mask ``y`` with an open U such that U * y is that point alone."""
+    out = 0
+    for u in topo.opens:
+        meet = u & y
+        if meet and not meet & (meet - 1):
+            out |= meet
+    return out
+
+
 def oracle_is_open(topo: ExplicitTopology, subset) -> bool:
-    return topo.mask_of(subset) in set(topo.opens)
+    return topo.mask_of(subset) in topo.members
 
 
 def oracle_closure(topo: ExplicitTopology, subset) -> frozenset[str]:
     """Smallest closed superset, intersecting all closed supersets."""
-    s = topo.mask_of(subset)
-    full = (1 << len(topo.points)) - 1
-    meet = full
-    for u in topo.opens:
-        closed = full & ~u
-        if s & ~closed == 0:
-            meet &= closed
-    return topo.labels_of(meet)
+    return topo.labels_of(_closure_mask(topo, topo.mask_of(subset)))
 
 
 def oracle_isolated(topo: ExplicitTopology, subset) -> frozenset[str]:
     """Points y of the subset with an open U such that U * subset = {y}."""
-    y_mask = topo.mask_of(subset)
-    out = 0
-    mm = y_mask
-    while mm:
-        bit = mm & -mm
-        mm ^= bit
-        for u in topo.opens:
-            if u & y_mask == bit:
-                out |= bit
-                break
-    return topo.labels_of(out)
+    return topo.labels_of(_isolated_mask(topo, topo.mask_of(subset)))
 
 
 def oracle_derivative(topo: ExplicitTopology, subset) -> frozenset[str]:
-    s = frozenset(subset)
-    return s - oracle_isolated(topo, s)
+    s = topo.mask_of(subset)
+    return topo.labels_of(s & ~_isolated_mask(topo, s))
 
 
 def oracle_rank(topo: ExplicitTopology) -> int:
     """Least number of derivative steps that empties the space."""
-    current = frozenset(topo.points)
+    current = (1 << len(topo.points)) - 1
     steps = 0
     while current:
-        nxt = oracle_derivative(topo, current)
-        if nxt == current:
+        isolated = _isolated_mask(topo, current)
+        if not isolated:
             raise AssertionError("derivative stalled on a finite space")
-        current = nxt
+        current &= ~isolated
         steps += 1
     return steps
 
@@ -172,8 +183,8 @@ def oracle_scattered(topo: ExplicitTopology) -> bool:
     """Every nonempty closed subset has an isolated point, definitionally."""
     full = (1 << len(topo.points)) - 1
     for u in topo.opens:
-        closed = full & ~u
-        if closed and not oracle_isolated(topo, topo.labels_of(closed)):
+        closed = full ^ u
+        if closed and not _isolated_mask(topo, closed):
             return False
     return True
 
@@ -405,10 +416,15 @@ class LawResult:
 
 @dataclass
 class SuiteReport:
+    """Per-law results, plus ``block_seconds``: the seconds of each block
+    (exhaustive, random_oracle, finite_laws, corpus, gallery), in run
+    order, always all five (near 0 for a block the config skips)."""
+
     laws: list[LawResult]
     poset_counts: dict[int, int]
     cross_check_counts: dict[int, int]
     seconds: float
+    block_seconds: dict[str, float]
 
     @property
     def passed(self) -> bool:
@@ -418,18 +434,22 @@ class SuiteReport:
         return {
             "passed": self.passed,
             "seconds": round(self.seconds, 3),
+            "block_seconds": {b: round(t, 3) for b, t in self.block_seconds.items()},
             "poset_counts": {str(k): v for k, v in self.poset_counts.items()},
             "cross_check_counts": {str(k): v for k, v in self.cross_check_counts.items()},
             "laws": [law.to_dict() for law in self.laws],
         }
 
     def format_table(self) -> str:
-        width = max([len(law.name) for law in self.laws] + [4])
+        width = max([len(law.name) for law in self.laws] + list(map(len, self.block_seconds)) + [5])
         lines = [f"{'law'.ljust(width)}  {'cases':>8}  {'failures':>8}"]
         for law in self.laws:
             lines.append(f"{law.name.ljust(width)}  {law.cases:>8}  {law.failures:>8}")
             if law.counterexample is not None:
                 lines.append(f"  counterexample: {law.counterexample}")
+        lines.append(f"{'block'.ljust(width)}  {'seconds':>8}")
+        for block, seconds in self.block_seconds.items():
+            lines.append(f"{block.ljust(width)}  {seconds:>8.3f}")
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
 
@@ -468,44 +488,58 @@ def _prefixed(poset: FinitePoset, prefix: str) -> FinitePoset:
     return construct_poset(labels, [(prefix + a, prefix + b) for a, b in poset.covers])
 
 
-def _subset_pool(poset: FinitePoset, cap: int, rng: random.Random) -> list[frozenset[str]]:
-    labels = poset.elements
-    n = len(labels)
+def _subset_pool(n: int, cap: int, rng: random.Random) -> Sequence[int]:
+    """Masks of the subsets to check on an n-point poset: every subset when
+    there are at most ``cap``, else the empty and full sets and then ``cap``
+    draws, each taking one ``rng.random() < 0.5`` per point in element order."""
     if 1 << n <= cap:
-        return [frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
-                for mask in range(1 << n)]
-    pool = [frozenset(), frozenset(labels)]
+        return range(1 << n)
+    bits = [1 << i for i in range(n)]
+    pool = [0, (1 << n) - 1]
     for _ in range(cap):
-        pool.append(frozenset(x for x in labels if rng.random() < 0.5))
+        pool.append(sum(bit for bit in bits if rng.random() < 0.5))
     return pool
 
 
+def _all_label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
+    """The label set of every mask over ``labels``, indexed by the mask."""
+    out = [frozenset()]
+    for x in labels:
+        out += [s | {x} for s in out]
+    return out
+
+
 def _check_poset_against_oracle(poset, laws, rank, config, rng):
-    ce_base = {"poset": poset.to_json_dict()}
+    ce = lambda: {"poset": poset.to_json_dict()}
+    labels = poset.elements
+    topo = downset_topology(poset)  # topo.points is poset.elements
+    pool = _subset_pool(len(labels), config.oracle_subset_samples, rng)
+    if isinstance(pool, range):  # every subset is drawn: decode by list index
+        decode = _all_label_sets(labels).__getitem__
+    else:
+        memo: dict[int, frozenset[str]] = {}
 
-    def ce(**extra):
-        data = dict(ce_base)
-        data.update(extra)
-        return lambda: data
+        def decode(mask: int) -> frozenset[str]:
+            found = memo.get(mask)
+            if found is None:
+                found = memo[mask] = frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+            return found
 
-    topo = downset_topology(poset)
-    for subset in _subset_pool(poset, config.oracle_subset_samples, rng):
-        sub = sorted(subset)
+    for s in pool:
+        subset = decode(s)
+        isolated = _isolated_mask(topo, s)
+        ce_subset = lambda subset=subset: {"poset": poset.to_json_dict(), "subset": sorted(subset)}
         laws.check("closure-matches-oracle",
-                   poset.closure(subset) == oracle_closure(topo, subset),
-                   ce(subset=sub))
+                   poset.closure(subset) == decode(_closure_mask(topo, s)), ce_subset)
         laws.check("open-test-matches-oracle",
-                   poset.is_open(subset) == oracle_is_open(topo, subset),
-                   ce(subset=sub))
+                   poset.is_open(subset) == (s in topo.members), ce_subset)
         laws.check("isolated-matches-oracle",
-                   poset.isolated_in(subset) == oracle_isolated(topo, subset),
-                   ce(subset=sub))
+                   poset.isolated_in(subset) == decode(isolated), ce_subset)
         laws.check("derivative-matches-oracle",
-                   poset.derivative_in(subset) == oracle_derivative(topo, subset),
-                   ce(subset=sub))
-    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), ce())
+                   poset.derivative_in(subset) == decode(s & ~isolated), ce_subset)
+    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), ce)
     laws.check("closed-subset-scattered-matches-oracle",
-               poset.scattered_via_closed_subsets() == oracle_scattered(topo), ce())
+               poset.scattered_via_closed_subsets() == oracle_scattered(topo), ce)
 
 
 def _check_finite_space_laws(poset, previous, laws, rank):
@@ -612,6 +646,14 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     rng = random.Random(config.seed)
     poset_counts: dict[int, int] = {}
     cross_counts: dict[int, int] = {}
+    block_seconds: dict[str, float] = {}
+    clock = started
+
+    def lap(block: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        block_seconds[block] = now - clock
+        clock = now
 
     for n in range(0, config.exhaustive_max + 1):
         count = 0
@@ -625,12 +667,14 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
                        poset_counts[n] == cross_counts[n],
                        lambda n=n: {"size": n, "enumerated": poset_counts[n],
                                     "filtered": cross_counts[n]})
+    lap("exhaustive")
 
     for _ in range(config.oracle_random_count):
         poset = random_poset(rng.randrange(1 << 30),
                              rng.randint(0, config.oracle_random_size),
                              rng.uniform(0.05, 0.6))
         _check_poset_against_oracle(poset, laws, rank, config, rng)
+    lap("random_oracle")
 
     previous = None
     for _ in range(config.law_random_count):
@@ -639,17 +683,21 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
                              rng.uniform(0.02, 0.5))
         _check_finite_space_laws(poset, previous, laws, rank)
         previous = poset
+    lap("finite_laws")
 
     for i in range(config.corpus_count):
         e = random_expr(rng, config.corpus_depth)
         _check_corpus_laws(e, laws, rng, config, sample_confluence=(i % 10 == 0))
+    lap("corpus")
 
     if config.check_gallery:
         _check_gallery(laws)
+    lap("gallery")
 
     return SuiteReport(
         laws=laws.results(),
         poset_counts=poset_counts,
         cross_check_counts=cross_counts,
-        seconds=time.perf_counter() - started,
+        seconds=clock - started,
+        block_seconds=block_seconds,
     )

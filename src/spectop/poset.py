@@ -151,10 +151,13 @@ class FinitePoset:
             raise UnknownLabelError(f"unknown element {label!r}") from None
 
     def _idx_set(self, labels: Iterable[Label]) -> frozenset[int]:
-        return frozenset(self.index(x) for x in labels)
+        try:
+            return frozenset(map(self._index.__getitem__, labels))
+        except KeyError as missing:
+            raise UnknownLabelError(f"unknown element {missing.args[0]!r}") from None
 
     def _label_set(self, idxs: Iterable[int]) -> frozenset[Label]:
-        return frozenset(self._labels[i] for i in idxs)
+        return frozenset(map(self._labels.__getitem__, idxs))
 
     # -- order queries ---------------------------------------------------
 

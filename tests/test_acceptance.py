@@ -103,13 +103,11 @@ def test_criterion_4_self_duality_over_corpus():
     report(4, "con(dual(e)) normalizes to con(e) on 1000 random expressions", failures == 0)
 
 
-def test_criterion_5_exhaustive_oracle_equivalence():
-    started = time.perf_counter()
-    suite_report = run_property_suite(
-        SuiteConfig(exhaustive_max=5, oracle_random_count=0, law_random_count=0,
-                    corpus_count=0, check_gallery=False)
-    )
-    elapsed = time.perf_counter() - started
+def test_criterion_5_exhaustive_oracle_equivalence(default_suite):
+    # the default config runs the exhaustive block up to 5 elements, then
+    # oracle_random_count random posets through the same oracle laws
+    suite_report, _ = default_suite
+    elapsed = suite_report.block_seconds["exhaustive"]
     oracle_laws = (
         "closure-matches-oracle",
         "open-test-matches-oracle",
@@ -123,7 +121,8 @@ def test_criterion_5_exhaustive_oracle_equivalence():
         suite_report.poset_counts[5] == 4231
         and total_posets == 4474
         and all(law(suite_report, name).failures == 0 for name in oracle_laws)
-        and law(suite_report, "rank-matches-oracle").cases == total_posets
+        and law(suite_report, "rank-matches-oracle").cases
+        == total_posets + SuiteConfig().oracle_random_count
         and law(suite_report, "poset-enumeration-cross-check").failures == 0
         and elapsed < 60.0
     )

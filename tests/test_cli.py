@@ -292,7 +292,8 @@ def test_fuzz_command_passes(capsys):
 def test_fuzz_deterministic_given_seed(capsys):
     _, first, _ = run_json(capsys, "fuzz", "--count", "10", "--seed", "3")
     _, second, _ = run_json(capsys, "fuzz", "--count", "10", "--seed", "3")
-    del first[0]["seconds"], second[0]["seconds"]
+    for timing in ("seconds", "block_seconds"):
+        del first[0][timing], second[0][timing]
     assert first == second
 
 

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from spectop import (ExplicitTopology, SizeError, SuiteConfig,
+from spectop import (ExplicitTopology, FinitePoset, SizeError, SuiteConfig,
                      count_posets_by_relation_filter, construct_poset,
                      downset_topology, enumerate_labeled_posets, normalize,
                      oracle_closure, oracle_derivative, oracle_is_open,
                      oracle_isolated, oracle_rank, oracle_scattered,
                      random_expr, random_poset, run_property_suite)
-from spectop.oracle import rewrite_measure, rewrite_random_order
+from spectop.oracle import (_all_label_sets, _subset_pool, rewrite_measure,
+                            rewrite_random_order)
 
 from conftest import posets, space_exprs
 
@@ -208,6 +209,66 @@ def test_suite_sizes_at_the_bound_are_accepted():
     assert report.passed
 
 
+def _flip_first(answer, subset):
+    """``answer`` with the least label of a nonempty ``subset`` toggled."""
+    subset = frozenset(subset)
+    return answer ^ {min(subset)} if subset else answer
+
+
+@pytest.mark.parametrize("method,law_name,oracle_fn,wrong", [
+    ("closure", "closure-matches-oracle", oracle_closure, _flip_first),
+    ("is_open", "open-test-matches-oracle", oracle_is_open,
+     lambda answer, subset: answer != bool(frozenset(subset))),
+    ("isolated_in", "isolated-matches-oracle", oracle_isolated, _flip_first),
+    ("derivative_in", "derivative-matches-oracle", oracle_derivative, _flip_first),
+])
+def test_suite_catches_a_wrong_subset_answer(monkeypatch, method, law_name, oracle_fn, wrong):
+    original = getattr(FinitePoset, method)
+    monkeypatch.setattr(FinitePoset, method,
+                        lambda self, subset: wrong(original(self, subset), subset))
+    report = run_property_suite(SuiteConfig(exhaustive_max=3, oracle_random_count=5,
+                                            law_random_count=0, corpus_count=0,
+                                            check_gallery=False))
+    assert [law.name for law in report.laws if law.failures] == [law_name]
+    ce = next(law for law in report.laws if law.name == law_name).counterexample
+    assert set(ce) == {"poset", "subset"}
+    assert isinstance(ce["subset"], list) and ce["subset"] == sorted(ce["subset"])
+    # the counterexample replays: the public oracle disagrees with the method
+    poset = construct_poset(ce["poset"]["labels"], [tuple(c) for c in ce["poset"]["covers"]])
+    topo = downset_topology(poset)
+    assert getattr(poset, method)(ce["subset"]) != oracle_fn(topo, ce["subset"])
+
+
+def _label_set_pool(poset, cap, rng):
+    """The subset pool as label sets, the way the suite drew it before it drew
+    masks: the mask pool must draw the same subsets with the same RNG calls,
+    which keeps every later draw (and every pinned case count) the same."""
+    labels = poset.elements
+    n = len(labels)
+    if 1 << n <= cap:
+        return [frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+                for mask in range(1 << n)]
+    pool = [frozenset(), frozenset(labels)]
+    for _ in range(cap):
+        pool.append(frozenset(x for x in labels if rng.random() < 0.5))
+    return pool
+
+
+@pytest.mark.parametrize("cap", [0, 1, 32, 64])
+def test_subset_pool_draws_what_the_label_set_pool_drew(cap):
+    for n in range(13):
+        poset = random_poset(seed=n, size=n, edge_density=0.3)
+        label_rng, mask_rng = random.Random(100 + n), random.Random(100 + n)
+        expected = _label_set_pool(poset, cap, label_rng)
+        decoded = _all_label_sets(poset.elements)
+        assert [decoded[m] for m in _subset_pool(n, cap, mask_rng)] == expected
+        assert mask_rng.getstate() == label_rng.getstate()
+
+
+def test_all_label_sets_is_indexed_by_mask():
+    assert _all_label_sets(("a", "b", "c")) == list(all_subsets(("a", "b", "c")))
+
+
 def test_suite_rejects_unknown_mutation():
     with pytest.raises(ValueError):
         run_property_suite(SuiteConfig(mutate="nope"))
@@ -228,5 +289,16 @@ def test_suite_report_serialization():
     assert data["passed"] is True
     assert all({"name", "cases", "failures", "counterexample"} <= set(law)
                for law in data["laws"])
+    blocks = ["exhaustive", "random_oracle", "finite_laws", "corpus", "gallery"]
+    assert list(data["block_seconds"]) == blocks
+    assert all(t >= 0 for t in data["block_seconds"].values())
     table = report.format_table()
     assert "PASS" in table
+    assert all(any(line.split()[:1] == [b] for line in table.splitlines()) for b in blocks)
+
+
+def test_suite_reports_every_block_even_when_skipped():
+    report = run_property_suite(SuiteConfig.empty())
+    assert list(report.block_seconds) == ["exhaustive", "random_oracle", "finite_laws",
+                                          "corpus", "gallery"]
+    assert report.seconds == pytest.approx(sum(report.block_seconds.values()))

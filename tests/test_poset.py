@@ -149,10 +149,13 @@ def test_isolated_examples():
 
 
 def test_subspace_rejects_foreign_members():
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError, match="^unknown element 'z'$"):
         chain("a", "b").isolated_in({"z"})
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError, match="^unknown element 'z'$"):
         chain("a", "b").derivative_in({"a", "z"})
+    for method in ("closure", "is_open"):
+        with pytest.raises(UnknownLabelError, match="^unknown element 'z'$"):
+            getattr(chain("a", "b"), method)(["a", "z", "b"])
 
 
 def test_derivative_examples():
