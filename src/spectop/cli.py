@@ -49,22 +49,11 @@ def _load_space(text: str):
 
 def _resolve_target(args):
     """A target is a gallery name, an expression, or '@file'; returns
-    (space, meta, known_fields, entry_or_none)."""
-    target = args.target
-    if target in NAMES:
-        entry = get_entry(target, _parse_n(args.n))
-        space, meta = entry.space, entry.meta
-        known = entry.known_truth.fields if entry.known_truth else None
-    else:
-        space = _load_space(target)
-        meta = RingMeta()
-        known = None
-        entry = None
-    if args.absolutely_flat:
-        meta = dataclasses.replace(meta, absolutely_flat=True)
-    if args.gabriel:
-        meta = dataclasses.replace(meta, has_gabriel_dimension=True)
-    return space, meta, known, entry
+    (space, entry_or_none)."""
+    if args.target in NAMES:
+        entry = get_entry(args.target, _parse_n(args.n))
+        return entry.space, entry
+    return _load_space(args.target), None
 
 
 def _emit(args, payload: dict, human: str):
@@ -87,17 +76,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
-    space, meta, known, entry = _resolve_target(args)
+    space, entry = _resolve_target(args)
+    meta = entry.meta if entry else RingMeta()
+    meta = dataclasses.replace(meta, absolutely_flat=meta.absolutely_flat or args.absolutely_flat,
+                               has_gabriel_dimension=meta.has_gabriel_dimension or args.gabriel)
+    truth = entry.known_truth if entry else None
     nf = normalize(space)
-    verdict = evaluate(nf, meta, known_fields=known)
+    verdict = evaluate(nf, meta, known_fields=truth.fields if truth else None)
     payload = {
         "target": args.target,
         "space": print_expr(nf),
         "meta": meta.to_dict(),
         "verdict": verdict.to_dict(),
     }
-    if entry is not None and entry.known_truth is not None:
-        payload["known_truth"] = entry.known_truth.to_dict()
+    if truth is not None:
+        payload["known_truth"] = truth.to_dict()
     lines = [
         f"target: {args.target}",
         f"space: {payload['space']}",
@@ -177,7 +170,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    space, _, _, _ = _resolve_target(args)
+    space, _ = _resolve_target(args)
     parts = []
     for leaf in leaves(normalize(space)):
         if not isinstance(leaf, Fin):
@@ -277,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="gallery name or space expression")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--n", default=None)
-    p.add_argument("--absolutely-flat", action="store_true", dest="absolutely_flat")
-    p.add_argument("--gabriel", action="store_true")
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("bench", help="large-scale layering benchmark")

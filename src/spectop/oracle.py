@@ -83,9 +83,6 @@ class ExplicitTopology:
                 if (a | b) not in members or (a & b) not in members:
                     raise ValueError("family not closed under union/intersection")
 
-    def index(self, label: str) -> int:
-        return self.points.index(label)
-
     def mask_of(self, subset) -> int:
         m = 0
         for x in subset:

@@ -11,19 +11,22 @@ every operation below is documented against this one.
 
 Representation
 --------------
-One representation at every size.  The constructor peels the poset once,
-frontier by frontier (Kahn 1962): the frontiers are the Cantor-Bendixson
-layers and their concatenation is the topological order.  Walking that
-order backwards, it stores each point's strict up-set as a Python-int
-bitset over that reverse order (bit k of ``_up[i]`` is set iff
+One representation at every size.  An instance holds its labels, its peel
+layers, its canonical covers and its up-set bitsets, and nothing else.  The
+constructor peels the poset once, frontier by frontier (Kahn 1962): the
+frontiers are the Cantor-Bendixson layers, the first of them lists the
+minimal points, and their concatenation is a topological order.  Walking
+that order backwards, it stores each point's strict up-set as a Python-int
+bitset over the reverse order (bit k of ``_up[i]`` is set iff
 i < ``_order[k]``), and keeps only the covering pairs of the input
 (transitive reduction, Aho-Garey-Ullman 1972), so equality, hashing,
-``covers`` and the exports never depend on the size.  Numbering the bits
-from the top keeps masks short where up-sets are small: a fan, its dual
-and an antichain take memory linear in their size.  Labels are
-DSL identifiers, so every printed poset parses back.  Values are immutable
-after construction and all operations are pure, so instances are safe to
-share across threads.
+``covers`` and the exports never depend on the size or on redundant input
+pairs.  Queries that need the order by cover read it from ``_covers``.
+Numbering the bits from the top keeps masks short where up-sets are small:
+a fan, its dual and an antichain take memory linear in their size.  Labels
+are DSL identifiers, so every printed poset parses back.  Values are
+immutable after construction and all operations are pure, so instances are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -60,39 +63,37 @@ class FinitePoset:
         n = len(self._labels)
         pairs = sorted({(a, b) for a, b in cover_pairs})
         for a, b in pairs:
-            if a == b:
-                raise CycleError(f"self-loop on {self._labels[a]!r}")
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownLabelError(f"cover index out of range: {(a, b)}")
+            if a == b:
+                raise CycleError(f"self-loop on {self._labels[a]!r}")
 
-        self._up_adj: list[list[int]] = [[] for _ in range(n)]
-        self._down_adj: list[list[int]] = [[] for _ in range(n)]
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
         for a, b in pairs:
-            self._up_adj[a].append(b)
-            self._down_adj[b].append(a)
+            succ[a].append(b)
+            indeg[b] += 1
 
-        # one peel: frontier k holds the points removed by the k-th derivative
-        indeg = [len(below) for below in self._down_adj]
+        # one peel: frontier k holds the points removed by the k-th derivative;
+        # the first frontier lists the minimal points in element order
         frontier = [v for v in range(n) if not indeg[v]]
         layers: list[list[int]] = []
         while frontier:
             layers.append(frontier)
             nxt = []
             for v in frontier:
-                for w in self._up_adj[v]:
+                for w in succ[v]:
                     indeg[w] -= 1
                     if not indeg[w]:
                         nxt.append(w)
             frontier = nxt
-        self._topo = [v for layer in layers for v in layer]
-        if len(self._topo) != n:
+        if sum(map(len, layers)) != n:
             raise CycleError("covering relation contains a cycle")
-        self._layers = layers
 
         # reachability bitsets and canonical covers in one backward pass: taking
         # a point's successors in peel order, a successor is a cover exactly
         # when no earlier successor already reaches it
-        order = self._topo[::-1]
+        order = [v for layer in reversed(layers) for v in reversed(layer)]
         bit = [0] * n
         for k, v in enumerate(order):
             bit[v] = k
@@ -100,21 +101,13 @@ class FinitePoset:
         covers = []
         for v in order:
             reach = 0
-            for w in sorted(self._up_adj[v], key=bit.__getitem__, reverse=True):
+            for w in sorted(succ[v], key=bit.__getitem__, reverse=True):
                 if not reach >> bit[w] & 1:
                     covers.append((v, w))
                     reach |= up[w] | 1 << bit[w]
             up[v] = reach
-        self._order, self._bit, self._up = order, bit, up
-        if len(covers) == len(pairs):
-            self._covers = tuple(pairs)
-        else:
-            self._covers = tuple(sorted(covers))
-            self._up_adj = [[] for _ in range(n)]
-            self._down_adj = [[] for _ in range(n)]
-            for a, b in self._covers:
-                self._up_adj[a].append(b)
-                self._down_adj[b].append(a)
+        self._layers, self._order, self._bit, self._up = layers, order, bit, up
+        self._covers = tuple(pairs) if len(covers) == len(pairs) else tuple(sorted(covers))
 
     # -- basics --------------------------------------------------------
 
@@ -188,11 +181,7 @@ class FinitePoset:
     def is_open(self, subset: Iterable[Label]) -> bool:
         """True iff ``subset`` is a down-set of the order."""
         s = self._idx_set(subset)
-        return all(d in s for x in s for d in self._down_adj[x])
-
-    def is_closed(self, subset: Iterable[Label]) -> bool:
-        s = self._idx_set(subset)
-        return all(u in s for x in s for u in self._up_adj[x])
+        return not any(b in s and a not in s for a, b in self._covers)
 
     def _isolated_idx(self, s: frozenset[int]) -> frozenset[int]:
         # isolated in the subspace s <=> minimal within the induced order,
@@ -232,10 +221,13 @@ class FinitePoset:
         order.  It uses the peel's order but not its layer count, so it
         checks ``rank_int`` independently.
         """
+        succ: list[list[int]] = [[] for _ in self._labels]
+        for a, b in self._covers:
+            succ[a].append(b)
         dist = [0] * len(self._labels)
-        for v in self._topo:
+        for v in reversed(self._order):
             dv = dist[v] + 1
-            for w in self._up_adj[v]:
+            for w in succ[v]:
                 if dist[w] < dv:
                     dist[w] = dv
         return max(dist, default=-1)
@@ -250,7 +242,7 @@ class FinitePoset:
 
     def minimal_elements(self) -> tuple[Label, ...]:
         """Generic points, in element order."""
-        return tuple(x for i, x in enumerate(self._labels) if not self._down_adj[i])
+        return tuple(map(self._labels.__getitem__, self._layers[0])) if self._layers else ()
 
     def td_witness(self, x: Label) -> tuple[frozenset[Label], bool]:
         """Return W = (X minus cl{x}) union {x} and whether W is open.
@@ -298,14 +290,6 @@ class FinitePoset:
         return sum(map(len, self._layers)) == len(self._labels)
 
     # -- combination ---------------------------------------------------------
-
-    def restrict(self, members: Iterable[Label]) -> "FinitePoset":
-        """The induced subposet on ``members`` (subspace topology)."""
-        keep = sorted(self._idx_set(members))
-        labels = [self._labels[i] for i in keep]
-        renum = {old: new for new, old in enumerate(keep)}
-        pairs = [(renum[i], renum[j]) for i in keep for j in self._points(self._up[i]) if j in renum]
-        return FinitePoset(labels, pairs)
 
     def disjoint_union(self, other: "FinitePoset") -> "FinitePoset":
         clash = set(self._labels) & set(other._labels)

@@ -509,17 +509,20 @@ def test_reused_parser_leaks_no_state(capsys):
     assert lines[0]["verdict"]["fields_generate"] == "Inconclusive"
 
 
-def test_reused_parser_reports_usage_errors_each_time(capsys):
+@pytest.mark.parametrize("argv", [["verdict", "fan", "--frobnicate"],
+                                  ["export", "fan", "--n", "2", "--gabriel"]],
+                         ids=["verdict", "export"])
+def test_reused_parser_reports_usage_errors_each_time(capsys, argv):
     errors = []
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
-            main(["verdict", "fan", "--frobnicate"])
+            main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         errors.append(captured.err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith("usage: spectop") and "--frobnicate" in errors[0]
+    assert errors[0].startswith("usage: spectop") and argv[-1] in errors[0]
 
 
 def test_help_exits_0(capsys):
