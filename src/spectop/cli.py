@@ -176,14 +176,16 @@ def _cmd_export(args) -> int:
         if not isinstance(leaf, Fin):
             raise ParseError(f"'{print_expr(leaf)}' does not denote a finite space; cannot export")
         parts.append(leaf.poset)
-    labels = [x for part in parts for x in part.elements]
-    covers = [c for part in parts for c in part.covers]
-    if len(set(labels)) != len(labels):
-        # prefix every part: the digits before the first "_" fix the part,
-        # so no prefixed label can collide with another
-        labels = [f"s{k}_{x}" for k, part in enumerate(parts) for x in part.elements]
-        covers = [(f"s{k}_{a}", f"s{k}_{b}") for k, part in enumerate(parts) for a, b in part.covers]
-    combined = parts[0] if len(parts) == 1 else construct_poset(labels, covers)
+    combined = parts[0]
+    if len(parts) > 1:
+        labels = [x for part in parts for x in part.elements]
+        covers = [c for part in parts for c in part.covers]
+        if len(set(labels)) != len(labels):
+            # prefix every part: the digits before the first "_" fix the part,
+            # so no prefixed label can collide with another
+            labels = [f"s{k}_{x}" for k, part in enumerate(parts) for x in part.elements]
+            covers = [(f"s{k}_{a}", f"s{k}_{b}") for k, part in enumerate(parts) for a, b in part.covers]
+        combined = construct_poset(labels, covers)
     print(export_poset(combined, args.format))
     return 0
 

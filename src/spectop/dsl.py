@@ -56,7 +56,7 @@ from typing import Iterator
 
 from .errors import ArityError, ParseError, SpectopError
 from .ordinal import Ordinal, parse_cnf
-from .poset import FinitePoset, construct_poset
+from .poset import IDENTIFIER, FinitePoset, construct_poset
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,42 @@ class _Parser:
 
     def _fin(self, head_at: int) -> Fin:
         self.expect("{")
+        labels, covers = self._fin_sliced() or self._fin_tokens()
+        try:
+            return Fin(construct_poset(labels, covers))
+        except (SpectopError, ValueError) as exc:
+            raise ParseError(f"bad finite poset: {exc}", self.start(head_at)) from None
+
+    def _fin_sliced(self) -> tuple[list[str], list[tuple[str, str]]] | None:
+        """The body of ``fin{`` read as slices of the token list, or None
+        when it is not well formed; the token walk then reads it again and
+        names the error, so it stays the only code that raises.
+
+        Up to the first ";" the body must be identifiers with "," between
+        them, and from there up to the next "}" runs of ``a < b`` with ","
+        between them, which is exactly what the token walk accepts."""
+        tokens, i = self.tokens, self.i
+        try:
+            semi = tokens.index(";", i)
+            close = tokens.index("}", semi)
+        except ValueError:
+            return None
+        names, body = tokens[i:semi], tokens[semi + 1:close]
+        commas, lts, links = names[1::2], body[1::4], body[3::4]
+        # the identifier places joined: a token is a run of \w or a single
+        # other character, so one match checks them all ("_" stands in
+        # when there are none)
+        words = "".join(names[::2]) + "".join(body[::2])
+        if not ((len(names) % 2 or not names) and (len(body) % 4 == 3 or not body)
+                and commas.count(",") == len(commas) and lts.count("<") == len(lts)
+                and links.count(",") == len(links) and IDENTIFIER.fullmatch(words or "_")):
+            return None
+        self.i = close + 1
+        return names[::2], list(zip(body[::4], body[2::4]))
+
+    def _fin_tokens(self) -> tuple[list[str], list[tuple[str, str]]]:
+        """The body of ``fin{``, token by token; raises on the first token
+        that the grammar does not allow."""
         tokens = self.tokens
         labels: list[str] = []
         if tokens[self.i] not in (";", "}"):
@@ -357,10 +393,7 @@ class _Parser:
                     break
                 self.i += 1
         self.expect("}")
-        try:
-            return Fin(construct_poset(labels, covers))
-        except (SpectopError, ValueError) as exc:
-            raise ParseError(f"bad finite poset: {exc}", self.start(head_at)) from None
+        return labels, covers
 
 
 def parse_expr(text: str) -> SpaceExpr:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from .analysis import FieldsGenerate, Ltg, RingMeta, Verdict, evaluate
 from .dsl import CANTOR, COFAN, FAN, Fin, SpaceExpr, print_expr
 from .errors import SizeError
-from .poset import construct_poset
+from .poset import FinitePoset, construct_poset
 
 OMEGA = "omega"
+# the most points of a finite fan; a request's time and memory grow linearly
+# with it (a 300000-point verdict: about 1.1 s CPU and 160 MB on a 2-core host)
+FAN_MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,10 @@ class RingEntry:
         }
 
 
-def _fan_poset(n: int):
-    labels = [f"p{i}" for i in range(1, n + 1)] + ["m"]
-    return construct_poset(labels, [(f"p{i}", "m") for i in range(1, n + 1)])
+def _fan_poset(n: int) -> FinitePoset:
+    """p1, ..., pn below m, built from index pairs: the labels are known
+    identifiers, so the label round trip of ``construct_poset`` is skipped."""
+    return FinitePoset([f"p{i}" for i in range(1, n + 1)] + ["m"], [(i, n) for i in range(n)])
 
 
 def fan_ring(n) -> RingEntry:
@@ -99,6 +103,8 @@ def fan_ring(n) -> RingEntry:
         )
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
+    if n + 1 > FAN_MAX_POINTS:
+        raise SizeError(f"{n} + 1 = {n + 1} points exceeds the budget of {FAN_MAX_POINTS}")
     return RingEntry(
         name="fan",
         description=f"k[x_1,...,x_{n}]_(x_1,...,x_{n}) / (x_i x_j : i != j), {n} glued axes",
@@ -131,7 +137,7 @@ def idempotent_ring(n, max_points: int = 4096) -> RingEntry:
     points = 2 ** n
     if points > max_points:
         raise SizeError(f"2^{n} = {points} points exceeds the budget of {max_points}")
-    space = Fin(construct_poset([f"p{i}" for i in range(points)], []))
+    space = Fin(FinitePoset([f"p{i}" for i in range(points)], ()))
     return RingEntry(
         name="idempotent",
         description=f"k[e_1,...,e_{n}] with e_i^2 = e_i (isomorphic to k^{points})",

@@ -15,18 +15,29 @@ One representation at every size.  An instance holds its labels, its peel
 layers, its canonical covers and its up-set bitsets, and nothing else.  The
 constructor peels the poset once, frontier by frontier (Kahn 1962): the
 frontiers are the Cantor-Bendixson layers, the first of them lists the
-minimal points, and their concatenation is a topological order.  Walking
-that order backwards, it stores each point's strict up-set as a Python-int
+minimal points, and their concatenation is a topological order.  A pair
+whose layers differ by exactly one is a cover, since a point strictly
+between would put its head two layers above its tail; when every input
+pair is one layer apart (chains, antichains, fans and their duals), the
+sorted pairs are the covers and nothing more is built.  Otherwise a walk
+of that order backwards stores each point's strict up-set as a Python-int
 bitset over the reverse order (bit k of ``_up[i]`` is set iff
-i < ``_order[k]``), and keeps only the covering pairs of the input
-(transitive reduction, Aho-Garey-Ullman 1972), so equality, hashing,
-``covers`` and the exports never depend on the size or on redundant input
-pairs.  Queries that need the order by cover read it from ``_covers``.
-Numbering the bits from the top keeps masks short where up-sets are small:
-a fan, its dual and an antichain take memory linear in their size.  Labels
-are DSL identifiers, so every printed poset parses back.  Values are
-immutable after construction and all operations are pure, so instances are
-safe to share across threads.
+i < ``_order[k]``) and keeps only the covering pairs of the input
+(transitive reduction, Aho-Garey-Ullman 1972).  Either way equality,
+hashing, ``covers`` and the exports never depend on the size or on
+redundant input pairs.  A poset built without bitsets builds them from its
+covers on the first query that needs reachability (``leq``, ``closure``,
+``isolated_in``, ``derivative_in``, ``td_witness``); the rank, the covers,
+``is_open``, ``height`` and the exports read only the layers and covers.
+Every instance sets the same seven attributes in the same order in its
+constructor, the lazy ones as None, and never adds one later, so CPython
+keeps sharing one key layout across instances.  Numbering the bits from the
+top keeps masks short where up-sets are small: a fan, its dual and an
+antichain take memory linear in their size.  Labels are DSL identifiers, so
+every printed poset parses back.  Values do not change after construction
+and all operations are pure: a lazily built bitset is a cache, and two
+threads that race to fill it compute the same value, so instances are safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -49,19 +60,47 @@ Label = str
 IDENTIFIER = re.compile(r"\w+")
 
 
+def _backward_pass(layers: list[list[int]], succ: list[list[int]]):
+    """Reachability bitsets and canonical covers in one pass over the peel
+    order reversed: ``(order, bit, up, covers)``.
+
+    ``order`` lists the points top layer first and ``bit[v]`` is v's place
+    in it; bit k of ``up[i]`` is set iff i < ``order[k]``.  Taking a point's
+    successors in peel order, a successor is a cover exactly when no earlier
+    successor already reaches it.
+    """
+    order = [v for layer in reversed(layers) for v in reversed(layer)]
+    bit = [0] * len(order)
+    for k, v in enumerate(order):
+        bit[v] = k
+    up = [0] * len(order)
+    covers = []
+    for v in order:
+        reach = 0
+        for w in sorted(succ[v], key=bit.__getitem__, reverse=True):
+            if not reach >> bit[w] & 1:
+                covers.append((v, w))
+                reach |= up[w] | 1 << bit[w]
+        up[v] = reach
+    return order, bit, up, covers
+
+
 class FinitePoset:
     """A finite poset, i.e. a finite T_0 topological space.
 
     Build instances with :func:`construct_poset` or :meth:`from_json`;
-    the constructor takes element labels plus covering pairs as index
-    pairs and computes the reflexive-transitive closure itself.
+    the constructor takes element labels plus index pairs, in any order and
+    with repeats, whose reflexive-transitive closure is the order.
     """
 
     def __init__(self, labels: Sequence[Label], cover_pairs: Iterable[tuple[int, int]]):
         self._labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
         n = len(self._labels)
-        pairs = sorted({(a, b) for a, b in cover_pairs})
+        # timsort is linear on sorted input, and sorting puts equal pairs side
+        # by side; tuple() returns a tuple pair itself and copies any other
+        pairs = sorted(map(tuple, cover_pairs))
+        pairs = [p for p, q in zip(pairs, pairs[1:]) if p != q] + pairs[-1:]
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownLabelError(f"cover index out of range: {(a, b)}")
@@ -78,6 +117,7 @@ class FinitePoset:
         # the first frontier lists the minimal points in element order
         frontier = [v for v in range(n) if not indeg[v]]
         layers: list[list[int]] = []
+        layer_of = [0] * n
         while frontier:
             layers.append(frontier)
             nxt = []
@@ -86,28 +126,33 @@ class FinitePoset:
                     indeg[w] -= 1
                     if not indeg[w]:
                         nxt.append(w)
+            for w in nxt:
+                layer_of[w] = len(layers)
             frontier = nxt
         if sum(map(len, layers)) != n:
             raise CycleError("covering relation contains a cycle")
 
-        # reachability bitsets and canonical covers in one backward pass: taking
-        # a point's successors in peel order, a successor is a cover exactly
-        # when no earlier successor already reaches it
-        order = [v for layer in reversed(layers) for v in reversed(layer)]
-        bit = [0] * n
-        for k, v in enumerate(order):
-            bit[v] = k
-        up = [0] * n
-        covers = []
-        for v in order:
-            reach = 0
-            for w in sorted(succ[v], key=bit.__getitem__, reverse=True):
-                if not reach >> bit[w] & 1:
-                    covers.append((v, w))
-                    reach |= up[w] | 1 << bit[w]
-            up[v] = reach
-        self._layers, self._order, self._bit, self._up = layers, order, bit, up
-        self._covers = tuple(pairs) if len(covers) == len(pairs) else tuple(sorted(covers))
+        # every pair climbs at least one layer, and one that climbs exactly one
+        # is a cover: a point strictly between would put its head two layers
+        # above its tail.  Only a pair that skips a layer needs reachability.
+        if all(layer_of[b] - layer_of[a] == 1 for a, b in pairs):
+            covers, order, bit, up = pairs, None, None, None
+        else:
+            order, bit, up, covers = _backward_pass(layers, succ)
+            covers = pairs if len(covers) == len(pairs) else sorted(covers)
+        self._layers, self._covers = layers, tuple(covers)
+        self._order, self._bit = order, bit
+        # last: whoever finds the bitsets built finds _order and _bit set too
+        self._up = up
+
+    def _reach(self) -> None:
+        """Build the up-set bitsets from the covers, on first use."""
+        succ: list[list[int]] = [[] for _ in self._labels]
+        for a, b in self._covers:
+            succ[a].append(b)
+        order, bit, up, _ = _backward_pass(self._layers, succ)
+        self._order, self._bit = order, bit
+        self._up = up
 
     # -- basics --------------------------------------------------------
 
@@ -157,6 +202,8 @@ class FinitePoset:
     def leq(self, a: Label, b: Label) -> bool:
         """True iff a <= b, i.e. b is in the closure of {a}."""
         ia, ib = self.index(a), self.index(b)
+        if self._up is None:
+            self._reach()
         return ia == ib or bool(self._up[ia] >> self._bit[ib] & 1)
 
     def _points(self, mask: int) -> list[int]:
@@ -173,6 +220,8 @@ class FinitePoset:
 
     def closure(self, subset: Iterable[Label]) -> frozenset[Label]:
         """Topological closure: the up-set generated by ``subset``."""
+        if self._up is None:
+            self._reach()
         mask = 0
         for i in self._idx_set(subset):
             mask |= self._up[i] | 1 << self._bit[i]
@@ -186,6 +235,8 @@ class FinitePoset:
     def _isolated_idx(self, s: frozenset[int]) -> frozenset[int]:
         # isolated in the subspace s <=> minimal within the induced order,
         # i.e. not strictly above another point of s
+        if self._up is None:
+            self._reach()
         above = 0
         for x in s:
             above |= self._up[x]
@@ -217,19 +268,20 @@ class FinitePoset:
     def height(self) -> int:
         """Longest chain, counted in edges; -1 for the empty poset.
 
-        Computed by a longest-path pass over the covers in topological
-        order.  It uses the peel's order but not its layer count, so it
-        checks ``rank_int`` independently.
+        Computed by a longest-path pass over the covers, taking the points
+        layer by layer (a topological order).  It uses the peel's layers as
+        an order but not their count, so it checks ``rank_int`` independently.
         """
         succ: list[list[int]] = [[] for _ in self._labels]
         for a, b in self._covers:
             succ[a].append(b)
         dist = [0] * len(self._labels)
-        for v in reversed(self._order):
-            dv = dist[v] + 1
-            for w in succ[v]:
-                if dist[w] < dv:
-                    dist[w] = dv
+        for layer in self._layers:
+            for v in layer:
+                dv = dist[v] + 1
+                for w in succ[v]:
+                    if dist[w] < dv:
+                        dist[w] = dv
         return max(dist, default=-1)
 
     # -- duality -----------------------------------------------------------
@@ -251,6 +303,8 @@ class FinitePoset:
         returned rather than asserted so the construction stays checkable.
         """
         i = self.index(x)
+        if self._up is None:
+            self._reach()
         w = ((1 << len(self._labels)) - 1) ^ self._up[i]
         labels = self._label_set(self._points(w))
         return labels, self.is_open(labels)
@@ -346,13 +400,18 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}
-    pairs = []
-    for a, b in covers:
-        if not (isinstance(a, str) and a in index):
-            raise UnknownLabelError(f"unknown element {a!r}")
-        if not (isinstance(b, str) and b in index):
-            raise UnknownLabelError(f"unknown element {b!r}")
-        pairs.append((index[a], index[b]))
+    covers = list(covers)
+    get = index.__getitem__
+    try:
+        pairs = [(get(a), get(b)) for a, b in covers]
+    except (KeyError, TypeError):
+        # a label that is missing or unhashable: name the first one
+        for a, b in covers:
+            if not (isinstance(a, str) and a in index):
+                raise UnknownLabelError(f"unknown element {a!r}") from None
+            if not (isinstance(b, str) and b in index):
+                raise UnknownLabelError(f"unknown element {b!r}") from None
+        raise
     return FinitePoset(labels, pairs)
 
 

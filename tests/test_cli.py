@@ -9,7 +9,7 @@ import pytest
 import spectop
 from spectop import cli
 from spectop.cli import main
-from spectop.gallery import catalog
+from spectop.gallery import FAN_MAX_POINTS, catalog
 from spectop.poset import FinitePoset
 
 
@@ -530,3 +530,32 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: spectop")
+
+
+@pytest.mark.parametrize("n", [FAN_MAX_POINTS, 10**12])
+@pytest.mark.parametrize("argv", [["verdict", "fan", "--json"], ["export", "fan"]],
+                         ids=["verdict", "export"])
+def test_fan_over_budget_exits_4(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert code == 4 and out == ""
+    assert err == f"error: {n} + 1 = {n + 1} points exceeds the budget of {FAN_MAX_POINTS}\n"
+
+
+_FAN_30 = [f"p{i}" for i in range(1, 31)] + ["m"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["export", "fan", "--n", "30", "--format", "json"],
+     '{"labels": [' + ", ".join(f'"{x}"' for x in _FAN_30) + '], "covers": ['
+     + ", ".join(f'["{x}", "m"]' for x in _FAN_30[:-1]) + "]}\n"),
+    (["export", "fan", "--n", "30", "--format", "dot"],
+     "digraph poset {\n" + "".join(f'  "{x}";\n' for x in _FAN_30)
+     + "".join(f'  "{x}" -> "m";\n' for x in _FAN_30[:-1]) + "}\n"),
+    (["export", "sum(fin{a,b;a<b}, dual(fin{a,c;a<c}))", "--format", "json"],
+     '{"labels": ["s0_a", "s0_b", "s1_a", "s1_c"], "covers": [["s0_a", "s0_b"], ["s1_c", "s1_a"]]}\n'),
+    (["export", "sum(fin{a,b;a<b}, dual(fin{a,c;a<c}))", "--format", "dot"],
+     'digraph poset {\n  "s0_a";\n  "s0_b";\n  "s1_a";\n  "s1_c";\n'
+     '  "s0_a" -> "s0_b";\n  "s1_c" -> "s1_a";\n}\n'),
+], ids=["fan-json", "fan-dot", "sum-clash-json", "sum-clash-dot"])
+def test_export_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -5,6 +6,8 @@ from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, ArityError, Con,
                      Dual, Fin, Ltg, Ordinal, ParseError, Sum, Tower, analyze,
                      construct_poset, evaluate, is_normal, leaves, normalize,
                      parse_cnf, parse_expr, print_expr)
+from spectop.dsl import _Parser
+from spectop.errors import SpectopError
 
 from conftest import posets, space_exprs
 
@@ -322,3 +325,89 @@ def test_deep_print_parse_print_roundtrip(build):
 def test_tower_constructor_rejects_limits():
     with pytest.raises(ValueError):
         Tower(parse_cnf("w"))
+
+
+# -- the sliced fin{...} read against the token walk ------------------------------
+
+
+class _TokenWalkParser(_Parser):
+    """The parser with ``fin{...}`` read by the token walk alone, as it was
+    before the sliced read: the reference the sliced read must match."""
+
+    def _fin(self, head_at):
+        self.expect("{")
+        tokens = self.tokens
+        labels = []
+        if tokens[self.i] not in (";", "}"):
+            labels.append(self.ident())
+            while tokens[self.i] == ",":
+                self.i += 1
+                labels.append(self.ident())
+        self.expect(";")
+        covers = []
+        if tokens[self.i] != "}":
+            while True:
+                a = self.ident()
+                self.expect("<")
+                covers.append((a, self.ident()))
+                if tokens[self.i] != ",":
+                    break
+                self.i += 1
+        self.expect("}")
+        try:
+            return Fin(construct_poset(labels, covers))
+        except (SpectopError, ValueError) as exc:
+            raise ParseError(f"bad finite poset: {exc}", self.start(head_at)) from None
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text).parse()
+    except ParseError as exc:  # the type, message and position are compared
+        return type(exc), str(exc), exc.position
+
+
+def _mutate(text, rng):
+    """One of: a dropped or doubled "," or "<", a swapped "<"/",", the
+    "}" dropped, a section emptied, or whitespace inserted."""
+    kind = rng.randrange(6)
+    marks = [i for i, ch in enumerate(text) if ch in ",<"]
+    if kind == 0 and marks:
+        i = rng.choice(marks)
+        return text[:i] + text[i + 1:]
+    if kind == 1 and marks:
+        i = rng.choice(marks)
+        return text[:i] + text[i] + text[i:]
+    if kind == 2 and marks:
+        i = rng.choice(marks)
+        return text[:i] + {",": "<", "<": ","}[text[i]] + text[i + 1:]
+    if kind == 3:
+        i = text.rfind("}")
+        return text[:i] + text[i + 1:]
+    if kind == 4:
+        semi = text.find(";")
+        return rng.choice([text[:text.find("{") + 1] + text[semi:],
+                           text[:semi + 1] + text[text.find("}", semi):]])
+    i = rng.randrange(len(text) + 1)
+    return text[:i] + rng.choice([" ", "\t\n", "  　 "]) + text[i:]
+
+
+@given(posets(max_size=6), posets(max_size=3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_sliced_fin_read_matches_the_token_walk(p, q, mutations, rng):
+    text = rng.choice(["{}", "sum({}, dual(fin{{a,b;a<b}}))", "sum(fin{{;}}, {})"]).format(
+        print_expr(Fin(p)), print_expr(Fin(q)))
+    if text.count("fin{") == 1 and rng.random() < 0.5:
+        text = text.replace("fin{", "sum(fin{", 1) + ", " + print_expr(Fin(q)) + ")"
+    for _ in range(mutations):
+        text = _mutate(text, rng)
+    assert _outcome(_Parser, text) == _outcome(_TokenWalkParser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "fin{a,b;a<b}", "fin{;}", "fin{a;}", "fin{;a<b}", "fin{}", "fin{a,;}", "fin{,a;}", "fin{a b;}",
+    "fin{a;a<}", "fin{a,b;a<b,}", "fin{a,b;a<b b<a}", "fin{a,b;a<b;}", "fin{a,b;a,b}",
+    "fin{a,b;a<<b}", "fin{a,b;a<b", "fin{a,b", "fin{a,b;a<b,,b<a}", "fin{ a , b ; a < b }",
+    "sum(fin{a, fin{b;})", "sum(fin{a;}, fin{b;a<b})", "fin{a;a<a}", "fin{a,a;}", "fin{a,b;a<b,b<a}",
+])
+def test_sliced_fin_read_examples(text):
+    assert _outcome(_Parser, text) == _outcome(_TokenWalkParser, text)

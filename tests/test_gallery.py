@@ -1,9 +1,10 @@
 import pytest
 
 from spectop import (CANTOR, COFAN, FAN, FieldsGenerate, Fin, Ltg, SizeError,
-                     catalog, curated_examples, fan_ring, get_entry,
-                     idempotent_ring)
-from spectop.gallery import OMEGA
+                     catalog, construct_poset, curated_examples, fan_ring,
+                     get_entry, idempotent_ring)
+from spectop import gallery
+from spectop.gallery import FAN_MAX_POINTS, OMEGA, _fan_poset
 
 
 def test_fan_ring_omega():
@@ -110,3 +111,29 @@ def test_entry_serialization():
     assert data["space"] == "fan"
     assert data["meta"]["has_gabriel_dimension"] is True
     assert data["known_truth"]["fields_generate"] == "Generates"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_fan_poset_matches_its_label_build(n):
+    labels = [f"p{i}" for i in range(1, n + 1)] + ["m"]
+    want = construct_poset(labels, [(f"p{i}", "m") for i in range(1, n + 1)])
+    got = _fan_poset(n)
+    assert got == want and hash(got) == hash(want) and got.covers == want.covers
+    assert fan_ring(n).space == Fin(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_idempotent_space_matches_its_label_build(n):
+    want = construct_poset([f"p{i}" for i in range(2 ** n)], [])
+    assert idempotent_ring(n).space == Fin(want)
+
+
+def test_fan_ring_size_budget(monkeypatch):
+    # refused before any point is built, just over the budget and far above it
+    for n in (FAN_MAX_POINTS, 10**12):
+        with pytest.raises(SizeError, match=rf"^{n} \+ 1 = {n + 1} points exceeds the budget of {FAN_MAX_POINTS}$"):
+            fan_ring(n)
+    monkeypatch.setattr(gallery, "FAN_MAX_POINTS", 3)
+    with pytest.raises(SizeError):
+        fan_ring(3)
+    assert len(fan_ring(2).space.poset) == 3

@@ -1,12 +1,16 @@
 import json
 import random
+import sys
+import threading
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from spectop import (CycleError, EmptySpaceError, FinitePoset, Ordinal,
-                     UnknownLabelError, construct_poset, downset_topology, export)
+from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordinal,
+                     UnknownLabelError, construct_poset, downset_topology, export,
+                     normalize, print_expr)
 
 from conftest import posets
 
@@ -87,20 +91,34 @@ def test_transitive_input_reduces_to_covers():
     assert with_shortcut.covers == (("a", "b"), ("b", "c"))
 
 
-@given(posets(max_size=6))
-def test_redundant_input_pairs_change_nothing(p):
-    q = construct_poset(p.elements, p.covers)
-    r = construct_poset(p.elements, [(a, b) for a in p.elements for b in p.elements
-                                     if a != b and p.leq(a, b)])
-    assert p == q == r and hash(p) == hash(q) == hash(r)
-    for mask in range(1 << len(p)):
-        s = {x for i, x in enumerate(p.elements) if mask >> i & 1}
-        for method in ("is_open", "closure", "isolated_in", "derivative_in"):
-            assert getattr(p, method)(s) == getattr(q, method)(s) == getattr(r, method)(s)
-    for method in ("minimal_elements", "height", "cb_layers"):
-        assert getattr(p, method)() == getattr(q, method)() == getattr(r, method)()
-    if len(p):
-        assert p.find_isolated() == q.find_isolated() == r.find_isolated()
+_FIELDS = ["_labels", "_index", "_layers", "_covers", "_order", "_bit", "_up"]
+
+
+@given(posets(max_size=8), st.randoms(use_true_random=False))
+def test_redundant_input_pairs_change_nothing(p, rng):
+    # built from its covers, from every comparable pair, and from those pairs
+    # shuffled with repeats; each build answers its first query lazily or not
+    els = p.elements
+    comparable = [(a, b) for a in els for b in els if a != b and p.leq(a, b)]
+    noisy = comparable + rng.sample(comparable, len(comparable) // 2)
+    rng.shuffle(noisy)
+    builds = [p] + [construct_poset(els, pairs) for pairs in (p.covers, comparable, noisy)]
+    for r in builds:
+        assert r == p and hash(r) == hash(p) and r.covers == p.covers
+        assert list(vars(r)) == _FIELDS
+    for r in builds:
+        assert [r.leq(a, b) for a in els for b in els] == [p.leq(a, b) for a in els for b in els]
+        for x in els:
+            assert r.td_witness(x) == p.td_witness(x)
+        for mask in range(1 << len(p)):
+            s = {x for i, x in enumerate(els) if mask >> i & 1}
+            for method in ("is_open", "closure", "isolated_in", "derivative_in"):
+                assert getattr(r, method)(s) == getattr(p, method)(s)
+        for method in ("minimal_elements", "height", "cb_layers"):
+            assert getattr(r, method)() == getattr(p, method)()
+        if len(p):
+            assert r.find_isolated() == p.find_isolated()
+        assert list(vars(r)) == _FIELDS
 
 
 @given(posets())
@@ -449,3 +467,75 @@ def test_wide_fan_builds_in_linear_memory():
     assert len(p) == n + 1
     assert peak < 8 * 2**20
     assert held < 3 * 2**20
+
+
+# -- covers by layer gap, reachability on first use ---------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain(*[f"c{i}" for i in range(3000)]),
+    lambda: construct_poset([f"a{i}" for i in range(3000)], []),
+    lambda: fan(10000),
+    lambda: fan(10000).dual(),
+], ids=["chain", "antichain", "fan", "dual_fan"])
+def test_layered_posets_build_no_bitsets_for_a_verdict(build):
+    p = build()
+    assert p._up is None
+    p.rank()
+    p.covers
+    print_expr(Fin(p))
+    q = normalize(Dual(Fin(p))).poset
+    for r in (p, q):
+        assert r._up is None and r._order is None and r._bit is None
+        assert list(vars(r)) == _FIELDS
+    assert p.height() == p.rank_int() - 1 and p._up is None
+    x = p.elements[-1]
+    assert p.leq(x, x) and p._up is not None
+    assert list(vars(p)) == _FIELDS
+
+
+def test_pairs_that_skip_a_layer_are_reduced_eagerly():
+    rng = random.Random(3)
+    n = 300
+    edges = _random_dag(rng, n)
+    labels = [f"v{i}" for i in range(n)]
+    p = FinitePoset(labels, edges)
+    assert p._up is not None and list(vars(p)) == _FIELDS
+    dropped = sorted(set(edges) - set(p._covers))
+    assert dropped
+    for a, c in dropped:  # each dropped pair has a point strictly between
+        assert p.leq(labels[a], labels[c])
+        assert any(p.leq(labels[a], labels[b]) and p.leq(labels[b], labels[c])
+                   for b in range(n) if b not in (a, c))
+    shuffled = edges * 2
+    rng.shuffle(shuffled)
+    assert FinitePoset(labels, shuffled) == p
+    assert FinitePoset(labels, p._covers) == p
+
+
+def test_threads_racing_to_build_the_bitsets_agree():
+    n = 2000
+    els = [f"c{i}" for i in range(n)]
+    probes = [(i, j) for i in range(0, n, 97) for j in range(0, n, 89)]
+    want = [i <= j for i, j in probes]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            p = chain(*els)  # a chain builds its bitsets on first use
+            start = threading.Barrier(8)
+            results = []
+
+            def ask():
+                start.wait()
+                results.append([p.leq(els[i], els[j]) for i, j in probes])
+
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want] * 8
+    finally:
+        sys.setswitchinterval(switch)
