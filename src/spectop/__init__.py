@@ -23,8 +23,7 @@ from .oracle import (ExplicitTopology, SuiteConfig, SuiteReport,
                      oracle_derivative, oracle_is_open, oracle_isolated,
                      oracle_rank, oracle_scattered, random_expr, random_poset,
                      run_property_suite)
-from .ordinal import OMEGA as OMEGA_ORDINAL
-from .ordinal import ONE, ZERO, Ordinal, parse_cnf
-from .poset import FinitePoset, construct_poset, export
+from .ordinal import ZERO, Ordinal, parse_cnf
+from .poset import FinitePoset, construct_poset, disjoint_union, export
 
 __version__ = "0.1.0"

@@ -15,6 +15,8 @@ acyclic, since layers strictly increase along every edge.
 from __future__ import annotations
 
 import math
+import re
+import sys
 import time
 from dataclasses import dataclass
 
@@ -23,11 +25,12 @@ import numpy as np
 from .errors import CycleError, SizeError
 
 DEFAULT_NODE_BUDGET = 10_000_000
-# Upper bound on ``threads``; the peel runs in one thread whatever its value.
-MAX_THREADS = 64
 # A frontier with fewer nodes and fewer out-edges than this is peeled by
 # the scalar loop, where numpy's per-call overhead would dominate.
 THIN_FRONTIER = 64
+# int()'s base-10 literal; int() refuses one only for having more digits than
+# sys.get_int_max_str_digits()
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 @dataclass(frozen=True)
@@ -36,22 +39,17 @@ class BenchResult:
     edges: int
     rank: int
     layer_sizes: tuple[int, ...]
-    certified: bool | None
+    agree: bool | None
     seconds_layering: float
     seconds_check: float
     seconds_total: float
-    threads: int
     seed: int | None = None
     density: float | None = None
 
     @property
     def longest_path_rank(self) -> int | None:
         """The rank the certificate proves, or None when unchecked or refuted."""
-        return self.rank if self.certified else None
-
-    @property
-    def agree(self) -> bool | None:
-        return self.certified
+        return self.rank if self.agree else None
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +62,6 @@ class BenchResult:
             "seconds_layering": round(self.seconds_layering, 4),
             "seconds_check": round(self.seconds_check, 4),
             "seconds_total": round(self.seconds_total, 4),
-            "threads": self.threads,
             "seed": self.seed,
             "density": self.density,
         }
@@ -87,14 +84,6 @@ def random_dag(nodes: int, density: float, seed: int) -> tuple[np.ndarray, np.nd
     tails = rng.integers(0, nodes - 1, size=m, dtype=np.int64)
     heads = rng.integers(tails + 1, nodes, dtype=np.int64)
     return tails, heads
-
-
-def check_threads(threads: int) -> None:
-    """ValueError when ``threads`` < 1, SizeError above ``MAX_THREADS``."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads > MAX_THREADS:
-        raise SizeError(f"{threads} threads exceeds the bound of {MAX_THREADS}")
 
 
 def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +157,8 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
     return np.asarray(current, dtype=np.int64), level
 
 
+# benchmark hook: ROADMAP 1(a)
+# ``threads`` is ignored; its only reader is the benchmark's 2-thread probe (``_threads2``)
 def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int = 1) -> np.ndarray:
     """Layer index per node: iterated removal of sources of the DAG.
 
@@ -175,10 +166,8 @@ def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int =
     out-edges.  ``tails`` and ``heads`` are 1-D integer arrays of equal
     length with ids in ``[0, nodes)``, else ValueError; ``nodes**2`` must
     fit in int64, else SizeError.  Raises CycleError when the edge list is
-    not acyclic, ValueError when ``threads`` < 1 and SizeError when it
-    exceeds ``MAX_THREADS``; ``threads`` changes nothing else.
+    not acyclic.
     """
-    check_threads(threads)
     tails, heads = _check_edges(nodes, tails, heads)
     if nodes == 0:
         return np.empty(0, dtype=np.int64)
@@ -230,6 +219,7 @@ def certify_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, layer: np
     return bool(np.array_equal(layer, best + 1))
 
 
+# benchmark hook: ROADMAP 1(a)
 def longest_path_rank(nodes: int, tails: np.ndarray, heads: np.ndarray) -> int:
     """Longest path (in nodes) via a plain-Python DP over a topological
     order; the reference the tests hold :func:`cb_layering` to."""
@@ -349,7 +339,12 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+            if not all(map(_INT_LITERAL.fullmatch, parts)):
+                raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+            if any(p.startswith("-") for p in parts):
+                raise ValueError(f"line {lineno}: node ids must be non-negative") from None
+            raise SizeError(f"line {lineno}: a node id of more than {sys.get_int_max_str_digits()} digits "
+                            "does not fit in 64 bits") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: node ids must be non-negative")
         tails.append(u)
@@ -366,14 +361,12 @@ def run_bench(
     nodes: int,
     density: float = 2.0,
     seed: int = 0,
-    threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     verify: bool = True,
     edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BenchResult:
     """Build (or take) a DAG, compute the layering and, with ``verify``,
     check it with :func:`certify_layering`."""
-    check_threads(threads)
     if nodes > node_budget:
         raise SizeError(f"{nodes} nodes exceeds the budget of {node_budget}")
     started = time.perf_counter()
@@ -382,23 +375,22 @@ def run_bench(
     else:
         tails, heads = edges
     t_layer = time.perf_counter()
-    layer = cb_layering(nodes, tails, heads, threads=threads)
+    layer = cb_layering(nodes, tails, heads)
     seconds_layering = time.perf_counter() - t_layer
     rank = int(layer.max()) + 1 if nodes else 0
     sizes = tuple(int(c) for c in np.bincount(layer, minlength=rank)) if nodes else ()
     t_check = time.perf_counter()
-    certified = certify_layering(nodes, tails, heads, layer) if verify else None
+    agree = certify_layering(nodes, tails, heads, layer) if verify else None
     seconds_check = time.perf_counter() - t_check
     return BenchResult(
         nodes=nodes,
         edges=int(tails.size),
         rank=rank,
         layer_sizes=sizes,
-        certified=certified,
+        agree=agree,
         seconds_layering=seconds_layering,
         seconds_check=seconds_check,
         seconds_total=time.perf_counter() - started,
-        threads=threads,
         seed=seed if edges is None else None,
         density=density if edges is None else None,
     )

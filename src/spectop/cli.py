@@ -19,12 +19,12 @@ import json
 import sys
 
 from .analysis import RingMeta, analyze, evaluate
-from .bench import DEFAULT_NODE_BUDGET, check_threads, read_edge_list, run_bench
+from .bench import DEFAULT_NODE_BUDGET, read_edge_list, run_bench
 from .dsl import Fin, leaves, normalize, parse_expr, print_expr
 from .errors import ConflictError, ParseError, SizeError, SpectopError
 from .gallery import NAMES, OMEGA, catalog, get_entry
 from .oracle import SuiteConfig, run_property_suite
-from .poset import FinitePoset, construct_poset
+from .poset import FinitePoset, disjoint_union
 from .poset import export as export_poset
 
 
@@ -176,34 +176,22 @@ def _cmd_export(args) -> int:
         if not isinstance(leaf, Fin):
             raise ParseError(f"'{print_expr(leaf)}' does not denote a finite space; cannot export")
         parts.append(leaf.poset)
-    combined = parts[0]
-    if len(parts) > 1:
-        labels = [x for part in parts for x in part.elements]
-        covers = [c for part in parts for c in part.covers]
-        if len(set(labels)) != len(labels):
-            # prefix every part: the digits before the first "_" fix the part,
-            # so no prefixed label can collide with another
-            labels = [f"s{k}_{x}" for k, part in enumerate(parts) for x in part.elements]
-            covers = [(f"s{k}_{a}", f"s{k}_{b}") for k, part in enumerate(parts) for a, b in part.covers]
-        combined = construct_poset(labels, covers)
-    print(export_poset(combined, args.format))
+    print(export_poset(disjoint_union(parts), args.format))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    check_threads(args.threads)
     if args.edges is not None:
         with open(args.edges) as handle:
             nodes, tails, heads = read_edge_list(handle.read())
-        result = run_bench(nodes, threads=args.threads, verify=not args.skip_check,
-                           node_budget=args.max_size, edges=(tails, heads))
+        result = run_bench(nodes, verify=not args.skip_check, node_budget=args.max_size,
+                           edges=(tails, heads))
     else:
         result = run_bench(args.nodes, density=args.density, seed=args.seed,
-                           threads=args.threads, verify=not args.skip_check,
-                           node_budget=args.max_size)
+                           verify=not args.skip_check, node_budget=args.max_size)
     payload = result.to_dict()
     lines = [
-        f"nodes: {result.nodes}  edges: {result.edges}  threads: {result.threads}",
+        f"nodes: {result.nodes}  edges: {result.edges}",
         f"rank: {result.rank}"
         + ("" if result.agree is None
            else f"  longest-path certificate: {'ok' if result.agree else 'FAILED'}"),
@@ -278,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=1_000_000)
     p.add_argument("--density", type=float, default=2.0, help="expected edges per node")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility (1 to 64); the peel runs in one thread")
     p.add_argument("--edges", default=None, help="edge-list file, one 'u v' pair per line")
     p.add_argument("--max-size", type=int, default=DEFAULT_NODE_BUDGET, dest="max_size")
     p.add_argument("--skip-check", action="store_true",

@@ -134,9 +134,10 @@ def idempotent_ring(n, max_points: int = 4096) -> RingEntry:
         )
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
+    # decided from n alone, before 2**n is built: its size and its decimal text grow with n
+    if n >= max_points.bit_length():
+        raise SizeError(f"2^{n} points exceeds the budget of {max_points}")
     points = 2 ** n
-    if points > max_points:
-        raise SizeError(f"2^{n} = {points} points exceeds the budget of {max_points}")
     space = Fin(FinitePoset([f"p{i}" for i in range(points)], ()))
     return RingEntry(
         name="idempotent",

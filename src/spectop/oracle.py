@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .analysis import FieldsGenerate, Ltg, analyze, evaluate
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
@@ -32,7 +32,7 @@ from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
 from .errors import SizeError
 from .gallery import catalog
 from .ordinal import parse_cnf
-from .poset import FinitePoset, construct_poset
+from .poset import FinitePoset, construct_poset, disjoint_union
 
 _PAIR_BUDGET = 4096 * 4096
 # the largest n with 3 * 2^(n - 2) <= 4096: an n-element poset that is not an
@@ -41,6 +41,10 @@ _PAIR_BUDGET = 4096 * 4096
 ORACLE_MAX_SIZE = 12
 # exhaustive enumeration scans 2^(n(n-1)/2) relations times n! relabelings
 EXHAUSTIVE_MAX = 6
+# a law poset is drawn in O(size^2); one with 1000 points at edge density
+# 0.5 took 0.9 s CPU to draw and check (2000 points: 3.7 s, 4000: 14.5 s) on
+# a 2-core Xeon host under Python 3.11
+LAW_MAX_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -97,18 +101,24 @@ class ExplicitTopology:
 
 
 def downset_topology(poset: FinitePoset) -> ExplicitTopology:
-    """Enumerate every down-set of the order as an explicit open family."""
+    """Enumerate every down-set of the order as an explicit open family.
+
+    The order is the reflexive-transitive closure of ``poset.covers``, taken
+    here by Warshall's loop over bitset rows, so no reachability the poset
+    computes for its own queries enters the oracle."""
     n = len(poset)
     if n > ORACLE_MAX_SIZE:
         raise SizeError(f"{n} elements exceeds the enumeration guard of {ORACLE_MAX_SIZE}")
     labels = poset.elements
-    below = [0] * n
-    for i, x in enumerate(labels):
-        m = 0
-        for j, y in enumerate(labels):
-            if poset.leq(y, x):
-                m |= 1 << j
-        below[i] = m
+    index = {x: i for i, x in enumerate(labels)}
+    # bit j of below[i] is set iff labels[j] <= labels[i]
+    below = [1 << i for i in range(n)]
+    for a, b in poset.covers:
+        below[index[b]] |= 1 << index[a]
+    for k in range(n):
+        for i in range(n):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
     opens = []
     for mask in range(1 << n):
         mm = mask
@@ -376,18 +386,21 @@ def rewrite_random_order(e: SpaceExpr, rng: random.Random, max_steps: int = 10_0
 class SuiteConfig:
     """Knobs for :func:`run_property_suite`; zero counts skip a block.
 
-    ``law_upset_budget`` is inert: finite scatteredness is decided by
-    theorem, so no block reads it.
+    ``oracle_subset_samples`` and ``law_upset_budget`` are constants, not
+    fields.  ``law_upset_budget`` is inert: finite scatteredness is decided
+    by theorem, so no block reads it.
     """
+
+    oracle_subset_samples: ClassVar[int] = 32
+    # benchmark hook: ROADMAP 1(a)
+    law_upset_budget: ClassVar[int] = 2048
 
     seed: int = 0
     exhaustive_max: int = 5
     oracle_random_count: int = 1000
     oracle_random_size: int = 10
-    oracle_subset_samples: int = 32
     law_random_count: int = 1000
     law_random_size: int = 40
-    law_upset_budget: int = 2048  # read only by the benchmark's suite workload
     corpus_count: int = 1000
     corpus_depth: int = 6
     check_gallery: bool = True
@@ -453,7 +466,6 @@ class SuiteReport:
 
 class _Laws:
     def __init__(self):
-        self.order: list[str] = []
         self.records: dict[str, LawResult] = {}
 
     def check(self, name: str, ok: bool, counterexample: Callable[[], dict]):
@@ -461,7 +473,6 @@ class _Laws:
         if rec is None:
             rec = LawResult(name, 0, 0, None)
             self.records[name] = rec
-            self.order.append(name)
         rec.cases += 1
         if not ok:
             rec.failures += 1
@@ -469,7 +480,7 @@ class _Laws:
                 rec.counterexample = counterexample()
 
     def results(self) -> list[LawResult]:
-        return [self.records[name] for name in self.order]
+        return list(self.records.values())
 
 
 def _rank_fn(config: SuiteConfig) -> Callable[[FinitePoset], int]:
@@ -569,7 +580,7 @@ def _check_finite_space_laws(poset, previous, laws, rank):
     if previous is not None:
         left = _prefixed(previous, "l_")
         right = _prefixed(poset, "r_")
-        union = left.disjoint_union(right)
+        union = disjoint_union([left, right])
         laws.check("sum-rank-is-max",
                    rank(union) == max(rank(left), rank(right)), ce())
         der = union.derivative_in(union.elements)
@@ -630,13 +641,20 @@ def _check_gallery(laws):
 
 def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run every block that ``config`` asks for; raises SizeError before any
-    work when a block's sizes are beyond what its enumeration can finish."""
+    work when a block's sizes are beyond what its enumeration can finish,
+    and ValueError before any work for a negative size."""
+    smallest = min(config.oracle_random_size, config.law_random_size)
+    if smallest < 0:
+        raise ValueError(f"random poset sizes must be non-negative, got {smallest}")
     if config.oracle_random_count > 0 and config.oracle_random_size > ORACLE_MAX_SIZE:
         raise SizeError(f"random oracle posets of up to {config.oracle_random_size} elements "
                         f"exceed the enumeration guard of {ORACLE_MAX_SIZE}")
     if config.exhaustive_max > EXHAUSTIVE_MAX:
         raise SizeError(f"exhaustive enumeration up to {config.exhaustive_max} elements "
                         f"exceeds the bound of {EXHAUSTIVE_MAX}")
+    if config.law_random_count > 0 and config.law_random_size > LAW_MAX_SIZE:
+        raise SizeError(f"law posets of up to {config.law_random_size} elements "
+                        f"exceed the bound of {LAW_MAX_SIZE}")
     started = time.perf_counter()
     laws = _Laws()
     rank = _rank_fn(config)

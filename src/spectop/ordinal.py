@@ -1,4 +1,4 @@
-"""Ordinal arithmetic below w^w in Cantor normal form.
+"""Ordinals below w^w in Cantor normal form.
 
 An ordinal is kept as a tuple of ``(exponent, coefficient)`` pairs with
 strictly decreasing natural exponents and coefficients >= 1; the empty
@@ -46,36 +46,13 @@ class Ordinal:
             raise ValueError("ordinals are non-negative")
         return cls(() if n == 0 else ((0, n),))
 
-    @classmethod
-    def omega(cls) -> "Ordinal":
-        return cls(((1, 1),))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     @property
-    def is_finite(self) -> bool:
-        return not self.terms or self.terms[0][0] == 0
-
-    @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] == 0
-
-    @property
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] != 0
-
-    def to_int(self) -> int:
-        if not self.is_finite:
-            raise ValueError(f"{self} is infinite")
-        return self.terms[0][1] if self.terms else 0
-
-    def successor(self) -> "Ordinal":
-        if self.is_successor:
-            head, (_, coeff) = self.terms[:-1], self.terms[-1]
-            return Ordinal(head + ((0, coeff + 1),))
-        return Ordinal(self.terms + ((0, 1),))
 
     def __lt__(self, other: "Ordinal") -> bool:
         # CNF term tuples compare lexicographically exactly like the
@@ -99,8 +76,6 @@ class Ordinal:
 
 
 ZERO = Ordinal()
-ONE = Ordinal.from_int(1)
-OMEGA = Ordinal.omega()
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(w)|([+^*]))")

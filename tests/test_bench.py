@@ -1,3 +1,5 @@
+import re
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from spectop import CycleError, SizeError, bench, construct_poset, run_bench
-from spectop.bench import (MAX_THREADS, THIN_FRONTIER, _csr, cb_layering,
+from spectop.bench import (THIN_FRONTIER, _csr, cb_layering,
                            certify_layering, longest_path_rank, random_dag,
                            read_edge_list)
 from spectop.cli import main
@@ -50,23 +52,11 @@ def test_same_seed_same_histogram():
 
 
 def test_thread_count_does_not_change_results():
-    baseline = run_bench(5000, density=2.0, seed=9, threads=1, verify=False)
+    # cb_layering takes threads and ignores it: the peel runs in one thread
+    tails, heads = random_dag(5000, 2.0, 9)
+    baseline = cb_layering(5000, tails, heads)
     for threads in (2, 8):
-        other = run_bench(5000, density=2.0, seed=9, threads=threads, verify=False)
-        assert other.layer_sizes == baseline.layer_sizes
-        assert other.rank == baseline.rank
-
-
-def test_thread_count_bounds():
-    # threads is validated but changes no work: the peel runs in one thread
-    tails, heads = random_dag(10, 2.0, 3)
-    baseline = cb_layering(10, tails, heads)
-    assert np.array_equal(cb_layering(10, tails, heads, threads=MAX_THREADS), baseline)
-    for threads in (0, -1):
-        with pytest.raises(ValueError):
-            cb_layering(10, tails, heads, threads=threads)
-    with pytest.raises(SizeError):
-        cb_layering(10, tails, heads, threads=MAX_THREADS + 1)
+        assert np.array_equal(cb_layering(5000, tails, heads, threads=threads), baseline)
 
 
 def test_node_budget_refusal():
@@ -114,7 +104,13 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+            if not all(re.fullmatch(r"[+-]?\d+(?:_\d+)*", p) for p in parts):
+                raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+            # int() refused a well-formed id for its digit count
+            if any(p.startswith("-") for p in parts):
+                raise ValueError(f"line {lineno}: node ids must be non-negative") from None
+            raise SizeError(f"line {lineno}: a node id of more than {sys.get_int_max_str_digits()} digits "
+                            "does not fit in 64 bits") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: node ids must be non-negative")
         tails.append(u)
@@ -185,6 +181,9 @@ _EDGE_TEXTS = st.one_of(
 @example("0 1 2 3")
 @example("1 2 # x")
 @example(f"{'9' * 19} 0")
+@example(f"0 {'1' * 4301}\n0 x")
+@example(f"-{'1' * 4301} 0")
+@example(f"{'1' * 4301}x 0")
 def test_read_edge_list_matches_the_line_loop(text):
     assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
 
@@ -204,6 +203,21 @@ def test_strict_reader_keeps_every_digit_place():
     nodes, tails, heads = bench._read_strict(text)
     assert nodes == 10**18
     assert tails.tolist() == heads.tolist() == ids
+
+
+def test_id_beyond_the_int_digit_limit_is_refused_as_too_large(tmp_path, capsys):
+    """int() refuses more than sys.get_int_max_str_digits() digits with a
+    ValueError; such an id is over 64 bits, so it exits 4 like one."""
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(SizeError, match=rf"^line 2: a node id of more than {digits - 1} digits does not fit"):
+        read_edge_list(f"0 1\n{'7' * digits} 1\n")
+    with pytest.raises(ValueError, match=r"^line 1: node ids must be non-negative$"):
+        read_edge_list(f"-{'7' * digits} 1\n")
+    path = tmp_path / "edges.txt"
+    path.write_text(f"0 {'1_0' * digits}\n")
+    assert main(["bench", "--edges", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 1: ") and err.count("\n") == 1
 
 
 def test_bad_line_far_down_is_named():
@@ -274,23 +288,6 @@ def test_bench_on_explicit_edges():
     result = run_bench(nodes, edges=(tails, heads))
     assert result.rank == 3 and result.agree
     assert result.layer_sizes == (2, 1, 1)
-
-
-def test_threads_checked_before_the_graph_is_built(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("random_dag called before threads was checked")
-
-    monkeypatch.setattr(bench, "random_dag", refuse)
-    with pytest.raises(ValueError):
-        run_bench(10**6, threads=0)
-    with pytest.raises(SizeError):
-        run_bench(10**6, threads=MAX_THREADS + 1)
-
-
-def test_cli_checks_threads_before_reading_edges(capsys):
-    # exit 4 (the bound), not exit 2 (the missing file)
-    assert main(["bench", "--edges", "/nonexistent/file", "--threads", "100000"]) == 4
-    capsys.readouterr()
 
 
 def test_certificate_rejects_bad_layerings():

@@ -10,6 +10,7 @@ import spectop
 from spectop import cli
 from spectop.cli import main
 from spectop.gallery import FAN_MAX_POINTS, catalog
+from spectop.oracle import LAW_MAX_SIZE
 from spectop.poset import FinitePoset
 
 
@@ -423,11 +424,14 @@ def test_bench_budget_exit_4(capsys):
     assert run(capsys, "bench", "--nodes", "10000", "--max-size", "100")[0] == 4
 
 
-@pytest.mark.parametrize("threads,expected", [("0", 2), ("100000", 4)])
-def test_bench_thread_bound(capsys, threads, expected):
-    code, out, err = run(capsys, "bench", "--nodes", "10", "--threads", threads)
-    assert code == expected and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("threads", ["0", "2", "100000"])
+def test_bench_has_no_threads_option(capsys, threads):
+    # the peel runs in one thread, so the option is gone: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--nodes", "10", "--threads", threads])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --threads" in captured.err
 
 
 @pytest.mark.parametrize("density", ["inf", "nan"])
@@ -539,6 +543,25 @@ def test_fan_over_budget_exits_4(capsys, argv, n):
     code, out, err = run(capsys, *argv, "--n", str(n))
     assert code == 4 and out == ""
     assert err == f"error: {n} + 1 = {n + 1} points exceeds the budget of {FAN_MAX_POINTS}\n"
+
+
+@pytest.mark.parametrize("n", [13, 20000, 10**12])
+@pytest.mark.parametrize("argv", [["verdict", "idempotent", "--json"], ["export", "idempotent"],
+                                  ["ring", "idempotent"]], ids=["verdict", "export", "ring"])
+def test_idempotent_over_budget_exits_4(capsys, argv, n):
+    # decided from n alone: 2**n is never computed, nor printed
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert code == 4 and out == ""
+    assert err == f"error: 2^{n} points exceeds the budget of 4096\n"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["--max-size", str(LAW_MAX_SIZE + 1)],
+     4, f"law posets of up to {LAW_MAX_SIZE + 1} elements exceed the bound of {LAW_MAX_SIZE}"),
+    (["--max-size", "-4"], 2, "random poset sizes must be non-negative, got -4"),
+])
+def test_fuzz_sizes_outside_the_bounds_are_refused(capsys, argv, code, message):
+    assert run(capsys, "fuzz", "--count", "2", *argv) == (code, "", f"error: {message}\n")
 
 
 _FAN_30 = [f"p{i}" for i in range(1, 31)] + ["m"]

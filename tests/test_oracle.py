@@ -9,7 +9,8 @@ from spectop import (ExplicitTopology, FinitePoset, SizeError, SuiteConfig,
                      oracle_closure, oracle_derivative, oracle_is_open,
                      oracle_isolated, oracle_rank, oracle_scattered,
                      random_expr, random_poset, run_property_suite)
-from spectop.oracle import (_all_label_sets, _subset_pool, rewrite_measure,
+from spectop.oracle import (LAW_MAX_SIZE, _all_label_sets, _check_poset_against_oracle,
+                            _Laws, _rank_fn, _subset_pool, rewrite_measure,
                             rewrite_random_order)
 
 from conftest import posets, space_exprs
@@ -90,6 +91,28 @@ def test_fast_algorithms_match_oracle(p):
         assert p.derivative_in(subset) == oracle_derivative(topo, subset)
     assert p.rank_int() == oracle_rank(topo)
     assert p.scattered_via_closed_subsets() == oracle_scattered(topo)
+    for x in p.elements:
+        for y in p.elements:
+            # x <= y iff every open set that contains y contains x
+            assert p.leq(x, y) == all(x in u for u in all_subsets(p.elements)
+                                      if y in u and oracle_is_open(topo, u))
+
+
+def test_oracle_catches_a_spurious_reachability_bit():
+    """A wrong bit in the poset's up-sets, which ``leq``, ``closure`` and the
+    isolated-point queries share, shows against the oracle, which takes the
+    order from the covers alone."""
+    p = construct_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    assert not p.leq("a", "d")  # builds the up-set bitsets
+    p._up[p.index("a")] |= 1 << p._bit[p.index("d")]
+    assert p.leq("a", "d")
+    laws = _Laws()
+    _check_poset_against_oracle(p, laws, _rank_fn(SuiteConfig()), SuiteConfig(), random.Random(0))
+    failures = {r.name: r.failures for r in laws.results()}
+    # every one of the 16 subsets is drawn; 4 hold a but not d, 4 hold both
+    assert failures["closure-matches-oracle"] == 4
+    assert failures["isolated-matches-oracle"] == 4
+    assert failures["derivative-matches-oracle"] == 4
 
 
 # -- generators ---------------------------------------------------------------------
@@ -185,6 +208,7 @@ def test_suite_catches_injected_rank_mutation():
 @pytest.mark.parametrize("config", [
     SuiteConfig(oracle_random_count=1, oracle_random_size=16),
     SuiteConfig(exhaustive_max=7),
+    SuiteConfig(law_random_count=1, law_random_size=LAW_MAX_SIZE + 1),
 ])
 def test_suite_refuses_sizes_beyond_the_enumeration_up_front(monkeypatch, config):
     def refuse(*args, **kwargs):
@@ -193,6 +217,20 @@ def test_suite_refuses_sizes_beyond_the_enumeration_up_front(monkeypatch, config
     monkeypatch.setattr("spectop.oracle.random_poset", refuse)
     monkeypatch.setattr("spectop.oracle.enumerate_labeled_posets", refuse)
     with pytest.raises(SizeError):
+        run_property_suite(config)
+
+
+@pytest.mark.parametrize("config", [
+    SuiteConfig(law_random_size=-4),
+    SuiteConfig(oracle_random_size=-1),
+])
+def test_suite_refuses_negative_sizes_up_front(monkeypatch, config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no poset may be built before the size check")
+
+    monkeypatch.setattr("spectop.oracle.random_poset", refuse)
+    monkeypatch.setattr("spectop.oracle.enumerate_labeled_posets", refuse)
+    with pytest.raises(ValueError, match=r"^random poset sizes must be non-negative, got -\d$"):
         run_property_suite(config)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordinal,
-                     UnknownLabelError, construct_poset, downset_topology, export,
+                     UnknownLabelError, construct_poset, disjoint_union, downset_topology, export,
                      normalize, print_expr)
 
 from conftest import posets
@@ -236,16 +236,28 @@ def test_rank_of_disjoint_union_is_max(p, q):
                            [(f"l{a}", f"l{b}") for a, b in p.covers])
     right = construct_poset([f"r{x}" for x in q.elements],
                             [(f"r{a}", f"r{b}") for a, b in q.covers])
-    union = left.disjoint_union(right)
+    union = disjoint_union([left, right])
     assert union.rank_int() == max(left.rank_int(), right.rank_int())
     got = union.derivative_in(union.elements)
     want = left.derivative_in(left.elements) | right.derivative_in(right.elements)
     assert got == want
 
 
-def test_disjoint_union_rejects_label_clash():
-    with pytest.raises(ValueError):
-        fan(2).disjoint_union(fan(2))
+@given(st.lists(posets(max_size=4), min_size=1, max_size=4))
+def test_disjoint_union_prefixes_every_part_on_a_clash(parts):
+    """The sum of the parts at the label level: unchanged labels when no two
+    parts share one, else every label x of part k written ``s{k}_x``."""
+    union = disjoint_union(parts)
+    labels = [x for part in parts for x in part.elements]
+    clash = len(set(labels)) != len(labels)
+    name = (lambda k, x: f"s{k}_{x}") if clash else (lambda k, x: x)
+    want = construct_poset([name(k, x) for k, part in enumerate(parts) for x in part.elements],
+                           [(name(k, a), name(k, b)) for k, part in enumerate(parts) for a, b in part.covers])
+    assert union == want
+    assert FinitePoset.from_json(union.to_json()) == union
+    if len(parts) == 1:
+        assert union is parts[0]
+    assert disjoint_union([fan(2), fan(2)]).elements == ("s0_p1", "s0_p2", "s0_m", "s1_p1", "s1_p2", "s1_m")
 
 
 def test_layers_partition_the_space():
