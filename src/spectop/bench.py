@@ -25,12 +25,17 @@ import numpy as np
 from .errors import CycleError, SizeError
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# run_bench draws at most this many random edges per node of its budget.  An
+# edge costs the peel about as much memory as a node (a few int64 words), so
+# the node budget bounds both; a run at the budget with the default density
+# of 2 is admitted.
+EDGES_PER_BUDGET_NODE = 2
 # A frontier with fewer nodes and fewer out-edges than this is peeled by
 # the scalar loop, where numpy's per-call overhead would dominate.
 THIN_FRONTIER = 64
 # int()'s base-10 literal; int() refuses one only for having more digits than
 # sys.get_int_max_str_digits()
-_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,7 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            if not all(map(_INT_LITERAL.fullmatch, parts)):
+            if not all(map(INT_LITERAL.fullmatch, parts)):
                 raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
             if any(p.startswith("-") for p in parts):
                 raise ValueError(f"line {lineno}: node ids must be non-negative") from None
@@ -369,6 +374,10 @@ def run_bench(
     check it with :func:`certify_layering`."""
     if nodes > node_budget:
         raise SizeError(f"{nodes} nodes exceeds the budget of {node_budget}")
+    max_edges = EDGES_PER_BUDGET_NODE * node_budget
+    # decided before random_dag allocates; a density it rejects is left to it
+    if edges is None and nodes >= 2 and math.isfinite(density) and not density * nodes <= max_edges:
+        raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {max_edges} edges")
     started = time.perf_counter()
     if edges is None:
         tails, heads = random_dag(nodes, density, seed)

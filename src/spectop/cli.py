@@ -19,7 +19,7 @@ import json
 import sys
 
 from .analysis import RingMeta, analyze, evaluate
-from .bench import DEFAULT_NODE_BUDGET, read_edge_list, run_bench
+from .bench import DEFAULT_NODE_BUDGET, INT_LITERAL, read_edge_list, run_bench
 from .dsl import Fin, leaves, normalize, parse_expr, print_expr
 from .errors import ConflictError, ParseError, SizeError, SpectopError
 from .gallery import NAMES, OMEGA, catalog, get_entry
@@ -36,6 +36,9 @@ def _parse_n(raw: str | None):
     try:
         return int(raw)
     except ValueError:
+        if INT_LITERAL.fullmatch(raw.strip()):
+            # int() refuses a literal only for having too many digits
+            raise SizeError(f"--n has more than {sys.get_int_max_str_digits()} digits") from None
         raise ParseError(f"--n expects a natural number or 'omega', got {raw!r}") from None
 
 

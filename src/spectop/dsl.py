@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ArityError, ParseError, SpectopError
+from .errors import ArityError, ParseError, SizeError, SpectopError
 from .ordinal import Ordinal, parse_cnf
 from .poset import IDENTIFIER, FinitePoset, construct_poset
 
@@ -328,8 +328,8 @@ class _Parser:
             raise ParseError("unterminated tower(...)", body_start)
         try:
             rank = parse_cnf(self.text[body_start:body_end])
-        except ParseError as exc:
-            raise ParseError(f"bad tower rank: {exc.message}", body_start + exc.position) from None
+        except (ParseError, SizeError) as exc:
+            raise type(exc)(f"bad tower rank: {exc.message}", body_start + exc.position) from None
         while self.start(self.i) <= body_end:
             self.i += 1
         try:

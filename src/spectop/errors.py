@@ -2,7 +2,18 @@
 
 
 class SpectopError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``message`` is the bare description.  ``position`` is the character
+    offset of the offending token in the parsed text, or ``None`` when the
+    error concerns no position in a text (a bad ``--n`` value, an unknown
+    gallery name); only a position that is not ``None`` is printed.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.message = message
+        self.position = position
 
 
 class CycleError(SpectopError):
@@ -26,18 +37,7 @@ class ConflictError(SpectopError):
 
 
 class ParseError(SpectopError):
-    """Malformed or non-canonical input.
-
-    ``message`` is the bare description.  ``position`` is the character
-    offset of the offending token in the parsed text, or ``None`` when the
-    error concerns no position in a text (a bad ``--n`` value, an unknown
-    gallery name); only a position that is not ``None`` is printed.
-    """
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message if position is None else f"{message} (at position {position})")
-        self.message = message
-        self.position = position
+    """Malformed or non-canonical input."""
 
 
 class ArityError(ParseError):

@@ -25,6 +25,8 @@ OMEGA = "omega"
 # the most points of a finite fan; a request's time and memory grow linearly
 # with it (a 300000-point verdict: about 1.1 s CPU and 160 MB on a 2-core host)
 FAN_MAX_POINTS = 1_000_000
+# the most points of a finite idempotent ring, which has 2^n points: n <= 12
+IDEMPOTENT_MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def fan_ring(n) -> RingEntry:
     )
 
 
-def idempotent_ring(n, max_points: int = 4096) -> RingEntry:
+def idempotent_ring(n) -> RingEntry:
     """k[e_1,e_2,...] with every e_i idempotent.
 
     A prime ideal is determined by the 0/1 pattern of which generators it
@@ -135,8 +137,8 @@ def idempotent_ring(n, max_points: int = 4096) -> RingEntry:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
     # decided from n alone, before 2**n is built: its size and its decimal text grow with n
-    if n >= max_points.bit_length():
-        raise SizeError(f"2^{n} points exceeds the budget of {max_points}")
+    if n >= IDEMPOTENT_MAX_POINTS.bit_length():
+        raise SizeError(f"2^{n} points exceeds the budget of {IDEMPOTENT_MAX_POINTS}")
     points = 2 ** n
     space = Fin(FinitePoset([f"p{i}" for i in range(points)], ()))
     return RingEntry(

@@ -359,7 +359,11 @@ def _rewrite_at(e: SpaceExpr, path: tuple[str, ...]) -> SpaceExpr:
     return Sum(e.left, _rewrite_at(e.right, rest))
 
 
-def rewrite_random_order(e: SpaceExpr, rng: random.Random, max_steps: int = 10_000):
+# more rewrite steps than this are reported as non-termination
+_REWRITE_MAX_STEPS = 10_000
+
+
+def rewrite_random_order(e: SpaceExpr, rng: random.Random):
     """Apply rewrite rules at random positions until no redex remains.
 
     Returns (normal form, True iff the measure strictly decreased at each
@@ -368,7 +372,7 @@ def rewrite_random_order(e: SpaceExpr, rng: random.Random, max_steps: int = 10_0
     """
     measure_ok = True
     current = e
-    for _ in range(max_steps):
+    for _ in range(_REWRITE_MAX_STEPS):
         paths = _redex_paths(current)
         if not paths:
             return current, measure_ok

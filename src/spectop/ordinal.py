@@ -18,10 +18,11 @@ accepted as spellings of ``w`` and ``n``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import ParseError
+from .errors import ParseError, SizeError
 
 
 @total_ordering
@@ -79,79 +80,62 @@ ZERO = Ordinal()
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(w)|([+^*]))")
+# a character that is neither whitespace nor part of a token
+_BAD = re.compile(r"[^\s\dw+^*]")
 
 
 def parse_cnf(text: str) -> Ordinal:
-    """Parse the canonical text form; reject non-canonical input."""
-    pos, end = 0, len(text)
-    tokens: list[tuple[str, str, int]] = []
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("nat", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("w", "w", m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    """Parse the canonical text form; reject non-canonical input.
 
-    if not tokens:
-        raise ParseError("empty ordinal", 0)
-
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else ("eof", "", end)
-
-    def take(kind, value=None):
-        nonlocal i
-        tok = peek()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, found {tok[1] or 'end'}", tok[2])
-        i += 1
-        return tok
-
-    def term() -> tuple[int, int]:
-        tok = peek()
-        if tok[0] == "nat":
-            take("nat")
-            return 0, int(tok[1])
-        if tok[0] == "w":
-            take("w")
-            exp = 1
-            if peek()[1] == "^":
-                take("op", "^")
-                exp = int(take("nat")[1])
-            coeff = 1
-            if peek()[1] == "*":
-                take("op", "*")
-                coeff = int(take("nat")[1])
-            return exp, coeff
-        raise ParseError(f"expected a term, found {tok[1] or 'end'}", tok[2])
-
-    first = peek()
-    if first[0] == "nat" and first[1] == "0" and len(tokens) == 1:
+    Errors come in a fixed precedence: a character no token reads, then a
+    syntax error, then exponents that do not strictly decrease, then a zero
+    coefficient.  A number too long for ``int()`` is refused with
+    ``SizeError`` when it is read.
+    """
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    if text.strip() == "0":
         return ZERO
+    # [exponent, coefficient, offset of the term's first token] per term
+    terms: list[list[int]] = []
+    # what the next token must be: a "term", the nat after "^" or "*", or
+    # (None) one of the operators in `follow` or the end
+    need, follow = "term", ""
+    try:
+        for m in _TOKEN.finditer(text):
+            nat, tok, at = m.group(1), m.group(m.lastindex), m.start(m.lastindex)
+            if need == "term":
+                if nat is not None:
+                    terms.append([0, int(nat), at])
+                    follow = "+"
+                elif tok == "w":
+                    terms.append([1, 1, at])
+                    follow = "^*+"
+                else:
+                    raise ParseError(f"expected a term, found {tok}", at)
+                need = None
+            elif need:
+                if nat is None:
+                    raise ParseError(f"expected nat, found {tok}", at)
+                terms[-1][0 if need == "^" else 1] = int(nat)
+                need, follow = None, "*+" if need == "^" else "+"
+            elif tok in follow:
+                need = "term" if tok == "+" else tok
+            else:
+                raise ParseError(f"trailing input {tok!r}", at)
+    except ValueError:
+        # int() refuses a literal only for having too many digits
+        raise SizeError(f"a number of more than {sys.get_int_max_str_digits()} digits", at) from None
+    if not terms:
+        raise ParseError("empty ordinal", 0)
+    if need:
+        raise ParseError(f"expected {'a term' if need == 'term' else 'nat'}, found end", len(text))
 
-    # each term with the offset of its first token, for the canonicity errors
-    starts = [peek()[2]]
-    terms = [term()]
-    while peek()[1] == "+":
-        take("op", "+")
-        starts.append(peek()[2])
-        terms.append(term())
-    tok = peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-
-    for (e1, _), (e2, _), start in zip(terms, terms[1:], starts[1:]):
+    for (e1, _, _), (e2, _, start) in zip(terms, terms[1:]):
         if e2 >= e1:
             raise ParseError("exponents must strictly decrease", start)
-    for (_, c), start in zip(terms, starts):
+    for _, c, start in terms:
         if c == 0:
             raise ParseError("zero coefficient is not canonical", start)
-    return Ordinal(tuple(terms))
+    return Ordinal(tuple((e, c) for e, c, _ in terms))

@@ -61,6 +61,14 @@ Label = str
 IDENTIFIER = re.compile(r"\w+")
 
 
+def _successors(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Each point's heads among ``pairs``, in the pairs' order."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    return succ
+
+
 def _backward_pass(layers: list[list[int]], succ: list[list[int]]):
     """Reachability bitsets and canonical covers in one pass over the peel
     order reversed: ``(order, bit, up, covers)``.
@@ -108,10 +116,9 @@ class FinitePoset:
             if a == b:
                 raise CycleError(f"self-loop on {self._labels[a]!r}")
 
-        succ: list[list[int]] = [[] for _ in range(n)]
+        succ = _successors(n, pairs)
         indeg = [0] * n
-        for a, b in pairs:
-            succ[a].append(b)
+        for _, b in pairs:
             indeg[b] += 1
 
         # one peel: frontier k holds the points removed by the k-th derivative;
@@ -148,10 +155,7 @@ class FinitePoset:
 
     def _reach(self) -> None:
         """Build the up-set bitsets from the covers, on first use."""
-        succ: list[list[int]] = [[] for _ in self._labels]
-        for a, b in self._covers:
-            succ[a].append(b)
-        order, bit, up, _ = _backward_pass(self._layers, succ)
+        order, bit, up, _ = _backward_pass(self._layers, _successors(len(self._labels), self._covers))
         self._order, self._bit = order, bit
         self._up = up
 
@@ -159,9 +163,6 @@ class FinitePoset:
 
     def __len__(self) -> int:
         return len(self._labels)
-
-    def __contains__(self, label: Label) -> bool:
-        return label in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePoset):
@@ -273,9 +274,7 @@ class FinitePoset:
         layer by layer (a topological order).  It uses the peel's layers as
         an order but not their count, so it checks ``rank_int`` independently.
         """
-        succ: list[list[int]] = [[] for _ in self._labels]
-        for a, b in self._covers:
-            succ[a].append(b)
+        succ = _successors(len(self._labels), self._covers)
         dist = [0] * len(self._labels)
         for layer in self._layers:
             for v in layer:
@@ -292,10 +291,6 @@ class FinitePoset:
         return FinitePoset(self._labels, [(b, a) for a, b in self._covers])
 
     # -- separation and isolation ------------------------------------------
-
-    def minimal_elements(self) -> tuple[Label, ...]:
-        """Generic points, in element order."""
-        return tuple(map(self._labels.__getitem__, self._layers[0])) if self._layers else ()
 
     def td_witness(self, x: Label) -> tuple[frozenset[Label], bool]:
         """Return W = (X minus cl{x}) union {x} and whether W is open.
@@ -322,7 +317,7 @@ class FinitePoset:
         """
         if not self._labels:
             raise EmptySpaceError("the empty space has no isolated point")
-        x = self.minimal_elements()[0]
+        x = self._labels[self._layers[0][0]]
         u = frozenset([x])
         w, w_open = self.td_witness(x)
         if not (w_open and self.is_open(u) and (u & w) == {x}):
@@ -388,9 +383,9 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
         for lab in labels:
             if not (isinstance(lab, str) and IDENTIFIER.fullmatch(lab)):
                 raise ValueError(f"label {lab!r} is not an identifier (letters, digits, underscore)")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("labels must be distinct")
     covers = list(covers)
     get = index.__getitem__
     try:

@@ -181,7 +181,7 @@ def test_criterion_7_structural_laws_over_corpus(default_suite):
 def test_criterion_8_ring_family_shapes():
     ok = True
     for n in range(13):
-        poset = idempotent_ring(n, max_points=1 << 13).space.poset
+        poset = idempotent_ring(n).space.poset
         ok = ok and len(poset) == 2 ** n and poset.rank_int() == 1
     fan_sizes = list(range(1, 33)) + [100, 1000, 2048, 10_000]
     for n in fan_sizes:

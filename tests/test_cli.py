@@ -441,6 +441,23 @@ def test_bench_non_finite_density_exit_2(capsys, density):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--nodes", "5", "--density", "1e308"], "density 1e+308 on 5 nodes exceeds the budget of 20000000 edges"),
+    (["--nodes", "10", "--density", "1e15"],
+     "density 1000000000000000.0 on 10 nodes exceeds the budget of 20000000 edges"),
+    (["--nodes", "100", "--density", "3", "--max-size", "149"],
+     "density 3.0 on 100 nodes exceeds the budget of 298 edges"),
+], ids=["overflow", "huge", "max-size"])
+def test_bench_edge_count_over_budget_exits_4(capsys, argv, message):
+    # refused before any edge is drawn
+    assert run(capsys, "bench", *argv) == (4, "", f"error: {message}\n")
+
+
+def test_bench_max_size_raises_the_edge_budget(capsys):
+    code, lines, _ = run_json(capsys, "bench", "--nodes", "100", "--density", "3", "--max-size", "150")
+    assert code == 0 and lines[0]["edges"] == 300
+
+
 def test_bench_edge_file(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n1 2\n3 2\n")
@@ -484,6 +501,27 @@ def test_error_message_prints_at_most_one_position(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["verdict", "fan"], ["ring", "idempotent"], ["export", "fan"]],
+                         ids=["verdict", "ring", "export"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_n_too_long_for_int_exits_4_without_echo(capsys, argv, sign):
+    digits = sys.get_int_max_str_digits()
+    n = sign + "9" * (digits + 700)
+    assert run(capsys, *argv, "--n", n) == (4, "", f"error: --n has more than {digits} digits\n")
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["eval", "tower(w x)"], 2, "bad tower rank: unexpected character 'x' (at position 8)"),
+    (["verdict", "sum(fan, tower(w +\t?))"], 2, "bad tower rank: unexpected character '?' (at position 19)"),
+    (["eval", f"tower(1{'0' * sys.get_int_max_str_digits()})"], 4,
+     f"bad tower rank: a number of more than {sys.get_int_max_str_digits()} digits (at position 6)"),
+    (["verdict", f"sum(cofan, tower(w^2*{'7' * 5000}))"], 4,
+     f"bad tower rank: a number of more than {sys.get_int_max_str_digits()} digits (at position 21)"),
+], ids=["space-then-bad", "tab-then-bad", "long-number", "long-coefficient"])
+def test_tower_rank_errors_name_the_right_place(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_parser_is_built_once_for_many_calls(capsys, monkeypatch):

@@ -48,10 +48,11 @@ def test_idempotent_ring_finite_shapes():
         assert poset.rank_int() == 1
 
 
-def test_idempotent_ring_size_budget():
+def test_idempotent_ring_size_budget(monkeypatch):
     with pytest.raises(SizeError):
         idempotent_ring(13)
-    assert len(idempotent_ring(13, max_points=1 << 13).space.poset) == 8192
+    monkeypatch.setattr(gallery, "IDEMPOTENT_MAX_POINTS", 1 << 13)
+    assert len(idempotent_ring(13).space.poset) == 8192
 
 
 def test_curated_entries_present():

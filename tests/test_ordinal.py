@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from spectop import Ordinal, ParseError, parse_cnf
+from spectop import Ordinal, ParseError, SizeError, parse_cnf
 from spectop.ordinal import ZERO
 
 from conftest import ordinals
@@ -26,6 +28,84 @@ def test_parse_examples():
 def test_parse_rejects_non_canonical(text):
     with pytest.raises(ParseError):
         parse_cnf(text)
+
+
+# message and position of every error kind, and of each step of the precedence:
+# a bad character, then a syntax error, then exponents, then a zero coefficient
+_ERRORS = [
+    ("", "empty ordinal", 0),
+    ("   ", "empty ordinal", 0),
+    ("\t", "empty ordinal", 0),
+    ("x", "unexpected character 'x'", 0),
+    ("w^x", "unexpected character 'x'", 2),
+    ("1+2-", "unexpected character '-'", 3),
+    ("w(", "unexpected character '('", 1),
+    ("\u0663x", "unexpected character 'x'", 1),
+    ("w*", "expected nat, found end", 2),
+    ("w^", "expected nat, found end", 2),
+    ("w ^ ", "expected nat, found end", 4),
+    ("w*w", "expected nat, found w", 2),
+    ("w^^2", "expected nat, found ^", 2),
+    ("+", "expected a term, found +", 0),
+    ("^2", "expected a term, found ^", 0),
+    ("*3", "expected a term, found *", 0),
+    ("w +", "expected a term, found end", 3),
+    ("w + ", "expected a term, found end", 4),
+    ("w + + 1", "expected a term, found +", 4),
+    ("0+", "expected a term, found end", 2),
+    ("1 2", "trailing input '2'", 2),
+    (" w  w", "trailing input 'w'", 4),
+    ("0 0", "trailing input '0'", 2),
+    ("w^2^3", "trailing input '^'", 3),
+    ("w*2^3", "trailing input '^'", 3),
+    ("3*2", "trailing input '*'", 1),
+    ("3^2", "trailing input '^'", 1),
+    ("w + w^2", "exponents must strictly decrease", 4),
+    ("w + w", "exponents must strictly decrease", 4),
+    ("3 + 2", "exponents must strictly decrease", 4),
+    ("0 + 1", "exponents must strictly decrease", 4),
+    ("w^2 + w^2", "exponents must strictly decrease", 6),
+    ("w + 1 + 2", "exponents must strictly decrease", 8),
+    ("w*0", "zero coefficient is not canonical", 0),
+    ("00", "zero coefficient is not canonical", 0),
+    ("w^0*0", "zero coefficient is not canonical", 0),
+    ("w^2 + 0", "zero coefficient is not canonical", 6),
+    # precedence: each error below also holds one that ranks lower
+    ("w^+x", "unexpected character 'x'", 3),
+    ("w + w^2+x", "unexpected character 'x'", 8),
+    ("w + w^2 +", "expected a term, found end", 9),
+    ("3 + 2 2", "trailing input '2'", 6),
+    ("w*0 +", "expected a term, found end", 5),
+    ("w*0 + w", "exponents must strictly decrease", 6),
+    ("w^3*0 + w^3", "exponents must strictly decrease", 8),
+]
+
+
+@pytest.mark.parametrize("text,message,position", _ERRORS)
+def test_parse_error_messages_are_pinned(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_cnf(text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
+@pytest.mark.parametrize("text,position", [("w x", 2), ("w +\t x", 5), ("1 + w^2  (", 9)])
+def test_bad_character_after_whitespace_is_named(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_cnf(text)
+    assert exc.value.message == f"unexpected character {text[position]!r}"
+    assert exc.value.position == position
+
+
+def test_number_too_long_for_int_is_a_size_error():
+    digits = sys.get_int_max_str_digits()
+    long = "1" + "0" * digits
+    for text, position in ((long, 0), (f"w^2 + {long}", 6), (f"w^{long}", 2), (f"w*{long}", 2)):
+        with pytest.raises(SizeError) as exc:
+            parse_cnf(text)
+        assert (exc.value.message, exc.value.position) == (f"a number of more than {digits} digits", position)
+    # a syntax error before the number still wins
+    with pytest.raises(ParseError, match=r"^expected a term, found \+"):
+        parse_cnf(f"+ {long}")
 
 
 def test_compare_examples():
