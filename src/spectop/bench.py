@@ -22,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CycleError, SizeError
+from .errors import CycleError, SizeError, quote
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# the most nodes any run takes, whatever its budget: the CSR packs each edge
+# into one int64 key, tail * nodes + head, so nodes**2 must fit in int64
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 # run_bench draws at most this many random edges per node of its budget.  An
 # edge costs the peel about as much memory as a node (a few int64 words), so
 # the node budget bounds both; a run at the budget with the default density
@@ -103,9 +106,8 @@ def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.n
         raise ValueError(f"{tails.size} tails but {heads.size} heads")
     if nodes < 0:
         raise ValueError("nodes must be non-negative")
-    bound = math.isqrt(np.iinfo(np.int64).max)
-    if nodes > bound:
-        raise SizeError(f"{nodes} nodes exceeds the bound of {bound}")
+    if nodes > MAX_NODES:
+        raise SizeError(f"{quote(nodes)} nodes exceeds the bound of {MAX_NODES}")
     if tails.size:
         low = min(int(tails.min()), int(heads.min()))
         high = max(int(tails.max()), int(heads.max()))
@@ -340,12 +342,12 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'u v', got {quote(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             if not all(map(INT_LITERAL.fullmatch, parts)):
-                raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+                raise ValueError(f"line {lineno}: node ids must be integers, got {quote(line)}") from None
             if any(p.startswith("-") for p in parts):
                 raise ValueError(f"line {lineno}: node ids must be non-negative") from None
             raise SizeError(f"line {lineno}: a node id of more than {sys.get_int_max_str_digits()} digits "
@@ -359,7 +361,7 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         return nodes, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
     except OverflowError:
         # such a graph is over any node budget, so it is refused like one
-        raise SizeError(f"node id {nodes - 1} does not fit in 64 bits") from None
+        raise SizeError(f"node id {quote(nodes - 1)} does not fit in 64 bits") from None
 
 
 def run_bench(
@@ -373,11 +375,14 @@ def run_bench(
     """Build (or take) a DAG, compute the layering and, with ``verify``,
     check it with :func:`certify_layering`."""
     if nodes > node_budget:
-        raise SizeError(f"{nodes} nodes exceeds the budget of {node_budget}")
+        raise SizeError(f"{quote(nodes)} nodes exceeds the budget of {quote(node_budget)}")
+    # decided before any float arithmetic on nodes, which would overflow
+    if nodes > MAX_NODES:
+        raise SizeError(f"{quote(nodes)} nodes exceeds the bound of {MAX_NODES}")
     max_edges = EDGES_PER_BUDGET_NODE * node_budget
     # decided before random_dag allocates; a density it rejects is left to it
     if edges is None and nodes >= 2 and math.isfinite(density) and not density * nodes <= max_edges:
-        raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {max_edges} edges")
+        raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {quote(max_edges)} edges")
     started = time.perf_counter()
     if edges is None:
         tails, heads = random_dag(nodes, density, seed)

@@ -21,7 +21,7 @@ import sys
 from .analysis import RingMeta, analyze, evaluate
 from .bench import DEFAULT_NODE_BUDGET, INT_LITERAL, read_edge_list, run_bench
 from .dsl import Fin, leaves, normalize, parse_expr, print_expr
-from .errors import ConflictError, ParseError, SizeError, SpectopError
+from .errors import ConflictError, ParseError, SizeError, SpectopError, quote
 from .gallery import NAMES, OMEGA, catalog, get_entry
 from .oracle import SuiteConfig, run_property_suite
 from .poset import FinitePoset, disjoint_union
@@ -39,7 +39,7 @@ def _parse_n(raw: str | None):
         if INT_LITERAL.fullmatch(raw.strip()):
             # int() refuses a literal only for having too many digits
             raise SizeError(f"--n has more than {sys.get_int_max_str_digits()} digits") from None
-        raise ParseError(f"--n expects a natural number or 'omega', got {raw!r}") from None
+        raise ParseError(f"--n expects a natural number or 'omega', got {quote(raw)}") from None
 
 
 def _load_space(text: str):

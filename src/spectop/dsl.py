@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ArityError, ParseError, SizeError, SpectopError
+from .errors import ArityError, ParseError, SizeError, SpectopError, quote
 from .ordinal import Ordinal, parse_cnf
 from .poset import IDENTIFIER, FinitePoset, construct_poset
 
@@ -291,7 +291,7 @@ class _Parser:
             head = self.ident()
             entry = _GRAMMAR.get(head)
             if entry is None:
-                raise ParseError(f"unknown space {head!r}", self.start(head_at))
+                raise ParseError(f"unknown space {quote(head)}", self.start(head_at))
             if not isinstance(entry, tuple):
                 node = entry
             elif not entry[1]:  # tower or fin: a body with its own grammar

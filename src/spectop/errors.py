@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of outside
+text in their messages."""
+
+# An error message quotes at most this many characters of a value it echoes:
+# a terminal line, enough to show the offending token of anything typed by
+# hand, while a pasted or generated input of any length still gets a short
+# one-line message.
+QUOTE_PREFIX = 80
+
+
+def quote(value) -> str:
+    """``repr(value)``, cut to its first QUOTE_PREFIX characters (a string's
+    before quoting) and then "..." when it is longer."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= QUOTE_PREFIX else repr(value[:QUOTE_PREFIX]) + "..."
+    if isinstance(value, int) and value.bit_length() > 4 * QUOTE_PREFIX:
+        # str() refuses more than sys.get_int_max_str_digits() digits, so keep
+        # only the leading ones, still over QUOTE_PREFIX of them
+        head = abs(value) // 10 ** (value.bit_length() * 3 // 10 - QUOTE_PREFIX)
+        value = head if value > 0 else -head
+    text = repr(value)
+    return text if len(text) <= QUOTE_PREFIX else text[:QUOTE_PREFIX] + "..."
 
 
 class SpectopError(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .analysis import FieldsGenerate, Ltg, RingMeta, Verdict, evaluate
 from .dsl import CANTOR, COFAN, FAN, Fin, SpaceExpr, print_expr
-from .errors import SizeError
+from .errors import SizeError, quote
 from .poset import FinitePoset, construct_poset
 
 OMEGA = "omega"
@@ -104,9 +104,9 @@ def fan_ring(n) -> RingEntry:
             ),
         )
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
+        raise ValueError(f"n must be a natural number or {OMEGA!r}, got {quote(n)}")
     if n + 1 > FAN_MAX_POINTS:
-        raise SizeError(f"{n} + 1 = {n + 1} points exceeds the budget of {FAN_MAX_POINTS}")
+        raise SizeError(f"{quote(n)} + 1 = {quote(n + 1)} points exceeds the budget of {FAN_MAX_POINTS}")
     return RingEntry(
         name="fan",
         description=f"k[x_1,...,x_{n}]_(x_1,...,x_{n}) / (x_i x_j : i != j), {n} glued axes",
@@ -135,10 +135,10 @@ def idempotent_ring(n) -> RingEntry:
             ),
         )
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a natural number or {OMEGA!r}, got {n!r}")
+        raise ValueError(f"n must be a natural number or {OMEGA!r}, got {quote(n)}")
     # decided from n alone, before 2**n is built: its size and its decimal text grow with n
     if n >= IDEMPOTENT_MAX_POINTS.bit_length():
-        raise SizeError(f"2^{n} points exceeds the budget of {IDEMPOTENT_MAX_POINTS}")
+        raise SizeError(f"2^{quote(n)} points exceeds the budget of {IDEMPOTENT_MAX_POINTS}")
     points = 2 ** n
     space = Fin(FinitePoset([f"p{i}" for i in range(points)], ()))
     return RingEntry(
@@ -211,4 +211,4 @@ def get_entry(name: str, n=None) -> RingEntry:
     for entry in curated_examples():
         if entry.name == name:
             return entry
-    raise KeyError(f"no gallery entry named {name!r}")
+    raise KeyError(f"no gallery entry named {quote(name)}")

@@ -10,11 +10,13 @@ bitmasks internally; the public functions speak label sets.
 over exhaustively enumerated small posets, random larger posets, and a
 random expression corpus, and reports per-law case counts with a first
 counterexample serialized for replay, plus the seconds each block took.
-The oracle blocks draw each poset's subsets as masks over its element
-order, which is also the topology's point order, and run the oracle on
-those masks.  Each mask is decoded to a label set at most once per poset:
-the decoded subset is the poset method's input, and the oracle's answer
-is decoded the same way to compare with the method's.
+A law hands its own inputs to the recorder by name (``poset=``,
+``subset=``, ``expr=``, ...); only the first failing case's inputs are
+turned into JSON data.  The oracle blocks draw each poset's subsets as
+masks over its element order, which is also the topology's point order,
+and run the oracle on those masks.  One table per poset, the label set of
+every mask, decodes both the drawn subset (the poset method's input) and
+the oracle's answer (to compare with the method's).
 """
 
 from __future__ import annotations
@@ -472,7 +474,9 @@ class _Laws:
     def __init__(self):
         self.records: dict[str, LawResult] = {}
 
-    def check(self, name: str, ok: bool, counterexample: Callable[[], dict]):
+    def check(self, name: str, ok: bool, **witness):
+        """Count one case of law ``name``; the first failing case's named
+        inputs become its counterexample."""
         rec = self.records.get(name)
         if rec is None:
             rec = LawResult(name, 0, 0, None)
@@ -481,10 +485,22 @@ class _Laws:
         if not ok:
             rec.failures += 1
             if rec.counterexample is None:
-                rec.counterexample = counterexample()
+                rec.counterexample = {key: _as_json(value) for key, value in witness.items()}
 
     def results(self) -> list[LawResult]:
         return list(self.records.values())
+
+
+def _as_json(value):
+    """A law input as JSON data: a poset as its JSON object, an expression
+    as its text, a set as a sorted list, a string or number as itself."""
+    if isinstance(value, FinitePoset):
+        return value.to_json_dict()
+    if isinstance(value, SpaceExpr):
+        return print_expr(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return value
 
 
 def _rank_fn(config: SuiteConfig) -> Callable[[FinitePoset], int]:
@@ -521,126 +537,105 @@ def _all_label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
     return out
 
 
-def _check_poset_against_oracle(poset, laws, rank, config, rng):
-    ce = lambda: {"poset": poset.to_json_dict()}
-    labels = poset.elements
+def _check_poset_against_oracle(poset, laws, rank, rng):
     topo = downset_topology(poset)  # topo.points is poset.elements
-    pool = _subset_pool(len(labels), config.oracle_subset_samples, rng)
-    if isinstance(pool, range):  # every subset is drawn: decode by list index
-        decode = _all_label_sets(labels).__getitem__
-    else:
-        memo: dict[int, frozenset[str]] = {}
-
-        def decode(mask: int) -> frozenset[str]:
-            found = memo.get(mask)
-            if found is None:
-                found = memo[mask] = frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
-            return found
-
-    for s in pool:
-        subset = decode(s)
+    decode = _all_label_sets(poset.elements)
+    for s in _subset_pool(len(poset), SuiteConfig.oracle_subset_samples, rng):
+        subset = decode[s]
         isolated = _isolated_mask(topo, s)
-        ce_subset = lambda subset=subset: {"poset": poset.to_json_dict(), "subset": sorted(subset)}
         laws.check("closure-matches-oracle",
-                   poset.closure(subset) == decode(_closure_mask(topo, s)), ce_subset)
+                   poset.closure(subset) == decode[_closure_mask(topo, s)],
+                   poset=poset, subset=subset)
         laws.check("open-test-matches-oracle",
-                   poset.is_open(subset) == (s in topo.members), ce_subset)
+                   poset.is_open(subset) == (s in topo.members),
+                   poset=poset, subset=subset)
         laws.check("isolated-matches-oracle",
-                   poset.isolated_in(subset) == decode(isolated), ce_subset)
+                   poset.isolated_in(subset) == decode[isolated],
+                   poset=poset, subset=subset)
         laws.check("derivative-matches-oracle",
-                   poset.derivative_in(subset) == decode(s & ~isolated), ce_subset)
-    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), ce)
+                   poset.derivative_in(subset) == decode[s & ~isolated],
+                   poset=poset, subset=subset)
+    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), poset=poset)
     laws.check("closed-subset-scattered-matches-oracle",
-               poset.scattered_via_closed_subsets() == oracle_scattered(topo), ce)
+               poset.scattered_via_closed_subsets() == oracle_scattered(topo), poset=poset)
 
 
 def _check_finite_space_laws(poset, previous, laws, rank):
-    ce_base = {"poset": poset.to_json_dict()}
-
-    def ce(**extra):
-        data = dict(ce_base)
-        data.update(extra)
-        return lambda: data
-
-    laws.check("dual-involution", poset.dual().dual() == poset, ce())
+    dual = poset.dual()
+    laws.check("dual-involution", dual.dual() == poset, poset=poset)
     r = rank(poset)
     if len(poset):
-        laws.check("rank-is-height-plus-one", r == poset.height() + 1, ce(rank=r))
+        laws.check("rank-is-height-plus-one", r == poset.height() + 1, poset=poset, rank=r)
     else:
-        laws.check("rank-of-empty-is-zero", r == 0, ce(rank=r))
-    laws.check("rank-invariant-under-dual", rank(poset.dual()) == r, ce())
-    laws.check("scattered-via-closed-subsets", poset.scattered_via_closed_subsets(), ce())
-    laws.check("dual-scattered-via-closed-subsets",
-               poset.dual().scattered_via_closed_subsets(), ce())
+        laws.check("rank-of-empty-is-zero", r == 0, poset=poset, rank=r)
+    laws.check("rank-invariant-under-dual", rank(dual) == r, poset=poset)
+    laws.check("scattered-via-closed-subsets", poset.scattered_via_closed_subsets(), poset=poset)
+    laws.check("dual-scattered-via-closed-subsets", dual.scattered_via_closed_subsets(),
+               poset=poset)
     for x in poset.elements:
         _, open_flag = poset.td_witness(x)
-        laws.check("td-witness-is-open", open_flag, ce(point=x))
+        laws.check("td-witness-is-open", open_flag, poset=poset, point=x)
     if len(poset):
         x, u, w = poset.find_isolated()
         ok = poset.is_open(u) and poset.is_open(w) and (u & w) == {x} and poset.is_open({x})
-        laws.check("constructive-isolated-point", ok,
-                   ce(point=x, u=sorted(u), w=sorted(w)))
-    laws.check("json-roundtrip", FinitePoset.from_json(poset.to_json()) == poset, ce())
+        laws.check("constructive-isolated-point", ok, poset=poset, point=x, u=u, w=w)
+    laws.check("json-roundtrip", FinitePoset.from_json(poset.to_json()) == poset, poset=poset)
     if previous is not None:
         left = _prefixed(previous, "l_")
         right = _prefixed(poset, "r_")
         union = disjoint_union([left, right])
-        laws.check("sum-rank-is-max",
-                   rank(union) == max(rank(left), rank(right)), ce())
+        laws.check("sum-rank-is-max", rank(union) == max(rank(left), rank(right)), poset=poset)
         der = union.derivative_in(union.elements)
         expected = left.derivative_in(left.elements) | right.derivative_in(right.elements)
-        laws.check("derivative-distributes-over-sum", der == expected, ce())
+        laws.check("derivative-distributes-over-sum", der == expected, poset=poset)
 
 
-def _check_corpus_laws(e, laws, rng, config, sample_confluence):
-    ce = lambda: {"expr": print_expr(e)}
+def _check_corpus_laws(e, laws, rng, sample_confluence):
     nf = normalize(e)
-    laws.check("normal-form-has-no-dual-con", is_normal(nf), ce)
-    laws.check("normalize-idempotent", normalize(nf) == nf, ce)
-    laws.check("self-duality", normalize(Con(Dual(e))) == normalize(Con(e)), ce)
-    laws.check("dual-involution-on-expressions", normalize(Dual(Dual(e))) == nf, ce)
+    laws.check("normal-form-has-no-dual-con", is_normal(nf), expr=e)
+    laws.check("normalize-idempotent", normalize(nf) == nf, expr=e)
+    laws.check("self-duality", normalize(Con(Dual(e))) == normalize(Con(e)), expr=e)
+    laws.check("dual-involution-on-expressions", normalize(Dual(Dual(e))) == nf, expr=e)
     if sample_confluence:
         other, measure_ok = rewrite_random_order(e, rng)
-        laws.check("rewrite-measure-decreases", measure_ok, ce)
-        laws.check("random-order-rewriting-confluent", other == nf, ce)
+        laws.check("rewrite-measure-decreases", measure_ok, expr=e)
+        laws.check("random-order-rewriting-confluent", other == nf, expr=e)
 
     a = analyze(e)  # Analysis.__post_init__ enforces the record invariants
-    laws.check("scattered-implies-td", (not a.scattered) or a.is_td, ce)
+    laws.check("scattered-implies-td", (not a.scattered) or a.is_td, expr=e)
     con_a = analyze(Con(e))
-    laws.check("scattered-passes-to-patch", (not a.scattered) or con_a.scattered, ce)
+    laws.check("scattered-passes-to-patch", (not a.scattered) or con_a.scattered, expr=e)
     if a.is_td:
-        laws.check("td-patch-scattered-equivalence", a.scattered == con_a.scattered, ce)
+        laws.check("td-patch-scattered-equivalence", a.scattered == con_a.scattered, expr=e)
     if not con_a.scattered:
-        laws.check("patch-obstruction-forces-ltg-failure",
-                   evaluate(e).ltg is Ltg.FAILS, ce)
+        laws.check("patch-obstruction-forces-ltg-failure", evaluate(e).ltg is Ltg.FAILS, expr=e)
     if isinstance(nf, Fin):
         p = nf.poset
         agree = (a.cb_rank == p.rank()
                  and a.is_td and a.scattered
                  and a.nonempty == (len(p) > 0)
                  and a.has_isolated_point == (len(p) > 0))
-        laws.check("finite-space-analysis-agrees-with-poset", agree, ce)
+        laws.check("finite-space-analysis-agrees-with-poset", agree, expr=e)
 
 
 def _check_gallery(laws):
     for entry in catalog():
-        ce = lambda entry=entry: {"entry": entry.name}
         try:
             verdict = entry.verdict()
         except Exception:
-            laws.check("gallery-verdict-computes", False, ce)
+            laws.check("gallery-verdict-computes", False, entry=entry.name)
             continue
-        laws.check("gallery-verdict-computes", True, ce)
+        laws.check("gallery-verdict-computes", True, entry=entry.name)
         if entry.expect_inconclusive:
             laws.check("non-sufficiency-stays-inconclusive",
-                       verdict.fields_generate is FieldsGenerate.INCONCLUSIVE, ce)
+                       verdict.fields_generate is FieldsGenerate.INCONCLUSIVE, entry=entry.name)
             laws.check("non-sufficiency-never-generates",
-                       verdict.fields_generate is not FieldsGenerate.GENERATES, ce)
+                       verdict.fields_generate is not FieldsGenerate.GENERATES, entry=entry.name)
         elif entry.known_truth is not None:
             truth = entry.known_truth
             ok = ((truth.ltg is None or truth.ltg is verdict.ltg)
                   and (truth.fields is None or truth.fields is verdict.fields_generate))
-            laws.check("gallery-known-truth-matches", ok, ce)
+            laws.check("gallery-known-truth-matches", ok, entry=entry.name)
 
 
 def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
@@ -678,21 +673,19 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         count = 0
         for poset in enumerate_labeled_posets(n):
             count += 1
-            _check_poset_against_oracle(poset, laws, rank, config, rng)
+            _check_poset_against_oracle(poset, laws, rank, rng)
         poset_counts[n] = count
         if n <= 4:
             cross_counts[n] = count_posets_by_relation_filter(n)
-            laws.check("poset-enumeration-cross-check",
-                       poset_counts[n] == cross_counts[n],
-                       lambda n=n: {"size": n, "enumerated": poset_counts[n],
-                                    "filtered": cross_counts[n]})
+            laws.check("poset-enumeration-cross-check", count == cross_counts[n],
+                       size=n, enumerated=count, filtered=cross_counts[n])
     lap("exhaustive")
 
     for _ in range(config.oracle_random_count):
         poset = random_poset(rng.randrange(1 << 30),
                              rng.randint(0, config.oracle_random_size),
                              rng.uniform(0.05, 0.6))
-        _check_poset_against_oracle(poset, laws, rank, config, rng)
+        _check_poset_against_oracle(poset, laws, rank, rng)
     lap("random_oracle")
 
     previous = None
@@ -706,7 +699,7 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
 
     for i in range(config.corpus_count):
         e = random_expr(rng, config.corpus_depth)
-        _check_corpus_laws(e, laws, rng, config, sample_confluence=(i % 10 == 0))
+        _check_corpus_laws(e, laws, rng, sample_confluence=(i % 10 == 0))
     lap("corpus")
 
     if config.check_gallery:

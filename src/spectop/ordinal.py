@@ -20,15 +20,15 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import total_ordering
 
-from .errors import ParseError, SizeError
+from .errors import ParseError, SizeError, quote
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
-    """An ordinal below w^w in Cantor normal form."""
+    """An ordinal below w^w in Cantor normal form, ordered by ``terms``:
+    CNF term tuples compare lexicographically exactly like the ordinals
+    they denote, including the shorter-prefix case."""
 
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -54,11 +54,6 @@ class Ordinal:
     @property
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] != 0
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        # CNF term tuples compare lexicographically exactly like the
-        # ordinals they denote, including the shorter-prefix case.
-        return self.terms < other.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -123,7 +118,7 @@ def parse_cnf(text: str) -> Ordinal:
             elif tok in follow:
                 need = "term" if tok == "+" else tok
             else:
-                raise ParseError(f"trailing input {tok!r}", at)
+                raise ParseError(f"trailing input {quote(tok)}", at)
     except ValueError:
         # int() refuses a literal only for having too many digits
         raise SizeError(f"a number of more than {sys.get_int_max_str_digits()} digits", at) from None

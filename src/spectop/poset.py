@@ -46,7 +46,7 @@ import json
 import re
 from typing import Iterable, Sequence
 
-from .errors import CycleError, EmptySpaceError, UnknownLabelError
+from .errors import CycleError, EmptySpaceError, UnknownLabelError, quote
 from .ordinal import Ordinal
 
 # benchmark hook: ROADMAP 1(a)
@@ -114,7 +114,7 @@ class FinitePoset:
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownLabelError(f"cover index out of range: {(a, b)}")
             if a == b:
-                raise CycleError(f"self-loop on {self._labels[a]!r}")
+                raise CycleError(f"self-loop on {quote(self._labels[a])}")
 
         succ = _successors(n, pairs)
         indeg = [0] * n
@@ -188,13 +188,13 @@ class FinitePoset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownLabelError(f"unknown element {label!r}") from None
+            raise UnknownLabelError(f"unknown element {quote(label)}") from None
 
     def _idx_set(self, labels: Iterable[Label]) -> frozenset[int]:
         try:
             return frozenset(map(self._index.__getitem__, labels))
         except KeyError as missing:
-            raise UnknownLabelError(f"unknown element {missing.args[0]!r}") from None
+            raise UnknownLabelError(f"unknown element {quote(missing.args[0])}") from None
 
     def _label_set(self, idxs: Iterable[int]) -> frozenset[Label]:
         return frozenset(map(self._labels.__getitem__, idxs))
@@ -382,7 +382,7 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
     if not (all(isinstance(lab, str) and lab for lab in labels) and IDENTIFIER.fullmatch("".join(labels))):
         for lab in labels:
             if not (isinstance(lab, str) and IDENTIFIER.fullmatch(lab)):
-                raise ValueError(f"label {lab!r} is not an identifier (letters, digits, underscore)")
+                raise ValueError(f"label {quote(lab)} is not an identifier (letters, digits, underscore)")
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError("labels must be distinct")
@@ -394,9 +394,9 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
         # a label that is missing or unhashable: name the first one
         for a, b in covers:
             if not (isinstance(a, str) and a in index):
-                raise UnknownLabelError(f"unknown element {a!r}") from None
+                raise UnknownLabelError(f"unknown element {quote(a)}") from None
             if not (isinstance(b, str) and b in index):
-                raise UnknownLabelError(f"unknown element {b!r}") from None
+                raise UnknownLabelError(f"unknown element {quote(b)}") from None
         raise
     return FinitePoset(labels, pairs)
 

@@ -12,6 +12,7 @@ from spectop.bench import (THIN_FRONTIER, _csr, cb_layering,
                            certify_layering, longest_path_rank, random_dag,
                            read_edge_list)
 from spectop.cli import main
+from spectop.errors import quote
 
 
 def test_empty_graph():
@@ -100,12 +101,12 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'u v', got {quote(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             if not all(re.fullmatch(r"[+-]?\d+(?:_\d+)*", p) for p in parts):
-                raise ValueError(f"line {lineno}: node ids must be integers, got {line!r}") from None
+                raise ValueError(f"line {lineno}: node ids must be integers, got {quote(line)}") from None
             # int() refused a well-formed id for its digit count
             if any(p.startswith("-") for p in parts):
                 raise ValueError(f"line {lineno}: node ids must be non-negative") from None
@@ -119,7 +120,7 @@ def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
     try:
         return nodes, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
     except OverflowError:
-        raise SizeError(f"node id {nodes - 1} does not fit in 64 bits") from None
+        raise SizeError(f"node id {quote(nodes - 1)} does not fit in 64 bits") from None
 
 
 def _outcome(read, text: str):

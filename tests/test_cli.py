@@ -8,7 +8,9 @@ import pytest
 
 import spectop
 from spectop import cli
+from spectop.bench import MAX_NODES
 from spectop.cli import main
+from spectop.errors import QUOTE_PREFIX, quote
 from spectop.gallery import FAN_MAX_POINTS, catalog
 from spectop.oracle import LAW_MAX_SIZE
 from spectop.poset import FinitePoset
@@ -510,6 +512,65 @@ def test_n_too_long_for_int_exits_4_without_echo(capsys, argv, sign):
     digits = sys.get_int_max_str_digits()
     n = sign + "9" * (digits + 700)
     assert run(capsys, *argv, "--n", n) == (4, "", f"error: --n has more than {digits} digits\n")
+
+
+_LONG = "9" * 4000
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (lambda tmp: ["eval", f"tower(1 {_LONG})"], 2),
+    (lambda tmp: ["verdict", "fan", "--n", "x" * 4500], 2),
+    (lambda tmp: ["eval", "f" * 4500], 2),
+    (lambda tmp: ["eval", f"fin{{{'a' * 4500};{'a' * 4500}<{'a' * 4500}}}"], 2),
+    (lambda tmp: ["eval", f"fin{{a;a<{'z' * 4500}}}"], 2),
+    (lambda tmp: ["bench", "--edges", _file(tmp, "0 1\n" + "1 " * 2500)], 2),
+    (lambda tmp: ["bench", "--edges", _file(tmp, f"0 1\na{'b' * 4500} 2\n")], 2),
+    (lambda tmp: ["bench", "--edges", _file(tmp, f"0 {_LONG}\n")], 4),
+    (lambda tmp: ["eval", "@" + _file(tmp, json.dumps({"labels": ["-" * 4500], "covers": []}))], 2),
+    (lambda tmp: ["verdict", "@" + _file(tmp, json.dumps({"labels": ["a"],
+                                                          "covers": [["a", "b" * 4500]]}))], 2),
+    (lambda tmp: ["ring", "q" * 4500], 2),
+    (lambda tmp: ["verdict", "fan", "--n", _LONG], 4),
+    (lambda tmp: ["verdict", "fan", "--n", "-" + _LONG], 2),
+    (lambda tmp: ["verdict", "idempotent", "--n", _LONG], 4),
+    (lambda tmp: ["verdict", "idempotent", "--n", "-" + _LONG], 2),
+    # n + 1 has one digit more than str() converts
+    (lambda tmp: ["verdict", "fan", "--n", "9" * sys.get_int_max_str_digits()], 4),
+    (lambda tmp: ["bench", "--nodes", "9" * 400], 4),
+    (lambda tmp: ["bench", "--nodes", "9" * 401, "--max-size", "9" * 402], 4),
+], ids=["ordinal", "n", "space", "self-loop", "fin-element", "line-shape", "line-ids",
+        "line-id-size", "json-label", "json-element", "ring", "fan-n", "fan-negative",
+        "idempotent-n", "idempotent-negative", "fan-n-plus-one", "bench-budget", "bench-bound"])
+def test_long_input_is_quoted_by_a_bounded_prefix(tmp_path, capsys, argv, code):
+    exit_code, out, err = run(capsys, *argv(tmp_path))
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # at most two quoted values, and the words around them
+    assert len(err.encode()) < 2 * QUOTE_PREFIX + 100
+
+
+def test_quote_keeps_every_value_up_to_the_prefix_whole():
+    assert quote("x" * QUOTE_PREFIX) == repr("x" * QUOTE_PREFIX)
+    assert quote("x" * (QUOTE_PREFIX + 1)) == repr("x" * QUOTE_PREFIX) + "..."
+    assert quote(10**QUOTE_PREFIX - 1) == str(10**QUOTE_PREFIX - 1)
+    assert quote(10**QUOTE_PREFIX) == str(10**QUOTE_PREFIX)[:QUOTE_PREFIX] + "..."
+    # past the digits str() converts, the leading ones are kept all the same
+    assert quote(7 * 10**5000) == "7" + "0" * (QUOTE_PREFIX - 1) + "..."
+    assert quote(-7 * 10**5000 - 1) == "-7" + "0" * (QUOTE_PREFIX - 2) + "..."
+
+
+@pytest.mark.parametrize("nodes", [MAX_NODES + 1, 10**30])
+def test_bench_refuses_nodes_beyond_the_packed_key_bound(capsys, nodes):
+    # refused before any edge is drawn, whatever the budget; a run at or below
+    # the bound with a raised budget would draw about 6e9 edges
+    assert run(capsys, "bench", "--nodes", str(nodes), "--max-size", str(10**40)) == (
+        4, "", f"error: {nodes} nodes exceeds the bound of {MAX_NODES}\n")
 
 
 @pytest.mark.parametrize("argv,code,message", [

@@ -1,14 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from spectop import (ExplicitTopology, FinitePoset, SizeError, SuiteConfig,
+from spectop import (ExplicitTopology, FinitePoset, RingEntry, SizeError, SuiteConfig,
                      count_posets_by_relation_filter, construct_poset,
                      downset_topology, enumerate_labeled_posets, normalize,
                      oracle_closure, oracle_derivative, oracle_is_open,
                      oracle_isolated, oracle_rank, oracle_scattered,
-                     random_expr, random_poset, run_property_suite)
+                     parse_expr, random_expr, random_poset, run_property_suite)
 from spectop.oracle import (LAW_MAX_SIZE, _all_label_sets, _check_poset_against_oracle,
                             _Laws, _rank_fn, _subset_pool, rewrite_measure,
                             rewrite_random_order)
@@ -107,7 +108,7 @@ def test_oracle_catches_a_spurious_reachability_bit():
     p._up[p.index("a")] |= 1 << p._bit[p.index("d")]
     assert p.leq("a", "d")
     laws = _Laws()
-    _check_poset_against_oracle(p, laws, _rank_fn(SuiteConfig()), SuiteConfig(), random.Random(0))
+    _check_poset_against_oracle(p, laws, _rank_fn(SuiteConfig()), random.Random(0))
     failures = {r.name: r.failures for r in laws.results()}
     # every one of the 16 subsets is drawn; 4 hold a but not d, 4 hold both
     assert failures["closure-matches-oracle"] == 4
@@ -269,12 +270,71 @@ def test_suite_catches_a_wrong_subset_answer(monkeypatch, method, law_name, orac
                                             check_gallery=False))
     assert [law.name for law in report.laws if law.failures] == [law_name]
     ce = next(law for law in report.laws if law.name == law_name).counterexample
-    assert set(ce) == {"poset", "subset"}
-    assert isinstance(ce["subset"], list) and ce["subset"] == sorted(ce["subset"])
+    # the 1-point poset is the first with a nonempty subset, which every wrong answer flips
+    assert ce == {"poset": {"labels": ["a"], "covers": []}, "subset": ["a"]}
     # the counterexample replays: the public oracle disagrees with the method
     poset = construct_poset(ce["poset"]["labels"], [tuple(c) for c in ce["poset"]["covers"]])
     topo = downset_topology(poset)
     assert getattr(poset, method)(ce["subset"]) != oracle_fn(topo, ce["subset"])
+
+
+def _counterexamples(**blocks):
+    """Each failing law's counterexample from a suite run of only ``blocks``."""
+    report = run_property_suite(dataclasses.replace(SuiteConfig.empty(), **blocks))
+    return {law.name: law.counterexample for law in report.laws if law.failures}
+
+
+def test_rank_counterexample_names_the_rank():
+    assert _counterexamples(law_random_count=6, law_random_size=2, mutate="rank-off-by-one") == {
+        "rank-is-height-plus-one": {"poset": {"labels": ["v0"], "covers": []}, "rank": 2},
+        "rank-of-empty-is-zero": {"poset": {"labels": [], "covers": []}, "rank": 1},
+    }
+
+
+def test_td_witness_counterexample_names_the_point(monkeypatch):
+    td_witness = FinitePoset.td_witness
+    # a flag that is wrong on every point that is not minimal, so find_isolated,
+    # which asks only about a minimal point, still works
+    monkeypatch.setattr(FinitePoset, "td_witness",
+                        lambda self, x: (td_witness(self, x)[0], self.is_open({x})))
+    assert _counterexamples(law_random_count=4, law_random_size=3) == {"td-witness-is-open": {
+        "poset": {"labels": ["v0", "v1", "v2"], "covers": [["v1", "v2"]]}, "point": "v2"}}
+
+
+def test_isolated_point_counterexample_lists_its_opens(monkeypatch):
+    find_isolated = FinitePoset.find_isolated
+
+    def whole_space(self):
+        x, _, _ = find_isolated(self)
+        return x, frozenset(self.elements), frozenset(self.elements)
+
+    monkeypatch.setattr(FinitePoset, "find_isolated", whole_space)
+    everything = ["v0", "v1", "v2"]
+    assert _counterexamples(law_random_count=5, law_random_size=3) == {"constructive-isolated-point": {
+        "poset": {"labels": everything, "covers": []}, "point": "v0", "u": everything, "w": everything}}
+
+
+def test_corpus_counterexample_is_text_that_parses_back(monkeypatch):
+    monkeypatch.setattr("spectop.oracle.is_normal", lambda e: False)
+    text = "sum(dual(tower(w + 1)), sum(omega1, cantor))"
+    assert _counterexamples(corpus_count=3, corpus_depth=3) == {
+        "normal-form-has-no-dual-con": {"expr": text}}
+    # the corpus block draws first from the seed's generator
+    assert parse_expr(text) == random_expr(random.Random(0), 3)
+
+
+def test_gallery_counterexample_names_the_entry(monkeypatch):
+    def fail(self):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(RingEntry, "verdict", fail)
+    assert _counterexamples(check_gallery=True) == {"gallery-verdict-computes": {"entry": "fan"}}
+
+
+def test_cross_check_counterexample_names_both_counts(monkeypatch):
+    monkeypatch.setattr("spectop.oracle.count_posets_by_relation_filter", lambda n: n)
+    assert _counterexamples(exhaustive_max=3) == {"poset-enumeration-cross-check": {
+        "size": 0, "enumerated": 1, "filtered": 0}}
 
 
 def _label_set_pool(poset, cap, rng):

@@ -12,6 +12,8 @@ from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordina
                      UnknownLabelError, construct_poset, disjoint_union, downset_topology, export,
                      normalize, print_expr)
 
+from spectop.errors import QUOTE_PREFIX
+
 from conftest import posets
 
 
@@ -186,6 +188,23 @@ def test_isolated_examples():
     two = chain("a", "b")
     assert two.isolated_in({"a", "b"}) == {"a"}
     assert two.isolated_in(set()) == frozenset()
+
+
+def test_long_labels_are_quoted_by_a_bounded_prefix():
+    long = "z" * 5000
+    clipped = repr("z" * QUOTE_PREFIX) + "..."
+    p = chain("a", "b")
+    for call in (lambda: p.leq("a", long), lambda: p.isolated_in({long}),
+                 lambda: construct_poset(["a"], [("a", long)])):
+        with pytest.raises(UnknownLabelError) as raised:
+            call()
+        assert str(raised.value) == f"unknown element {clipped}"
+    with pytest.raises(CycleError) as raised:
+        FinitePoset([long], [(0, 0)])
+    assert str(raised.value) == f"self-loop on {clipped}"
+    with pytest.raises(ValueError) as raised:
+        construct_poset([long + "-"], [])
+    assert str(raised.value) == f"label {clipped} is not an identifier (letters, digits, underscore)"
 
 
 def test_subspace_rejects_foreign_members():
