@@ -15,8 +15,7 @@ from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Cantor, CoFan, Con,
                   is_normal, leaves, normalize, parse_expr, print_expr)
 from .errors import (ArityError, ConflictError, CycleError, EmptySpaceError,
                      ParseError, SizeError, SpectopError, UnknownLabelError)
-from .gallery import (OMEGA, KnownTruth, RingEntry, catalog, curated_examples,
-                      fan_ring, get_entry, idempotent_ring)
+from .gallery import OMEGA, KnownTruth, RingEntry, catalog, get_entry
 from .oracle import (ExplicitTopology, SuiteConfig, SuiteReport,
                      count_posets_by_relation_filter, downset_topology,
                      enumerate_labeled_posets, oracle_closure,

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or resolution
-error, 3 metadata conflict, 4 resource refusal (size budgets; nesting depth
-alone is never refused).  ``--json`` switches every command to
-line-delimited JSON on stdout.
+error, 3 metadata conflict, 4 resource refusal (size budgets, or memory
+running out; nesting depth alone is never refused).  ``--json`` switches
+every command to line-delimited JSON on stdout.
 
 ``main`` is cheap to call repeatedly in one process: the argument parser is
 built on the first call and reused, so each later call pays only for its
@@ -56,6 +56,8 @@ def _resolve_target(args):
     if args.target in NAMES:
         entry = get_entry(args.target, _parse_n(args.n))
         return entry.space, entry
+    if args.n is not None:
+        raise ParseError(f"--n applies only to a gallery name, not to {quote(args.target)}")
     return _load_space(args.target), None
 
 
@@ -108,6 +110,8 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_ring(args) -> int:
     if args.name is None:
+        if args.n is not None:
+            raise ParseError("--n applies only to a gallery name; 'ring' lists them all")
         entries = catalog()
         if args.json:
             for entry in entries:
@@ -222,6 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="line-delimited JSON output")
 
+    n_help = "a natural number for the fan and idempotent families, or 'omega' (the default)"
+
     p = sub.add_parser("eval", help="normalize an expression and print its attributes")
     p.add_argument("expr", help="space expression, or @file naming a poset JSON file")
     add_json(p)
@@ -229,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="theorem-backed verdicts for a ring or expression")
     p.add_argument("target", help="gallery name, space expression, or @file with poset JSON")
-    p.add_argument("--n", default=None, help="parameter for gallery families (natural or 'omega')")
+    p.add_argument("--n", help=n_help)
     p.add_argument("--absolutely-flat", action="store_true", dest="absolutely_flat")
     p.add_argument("--gabriel", action="store_true")
     add_json(p)
@@ -237,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ring", help="browse the ring gallery")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--n", default=None)
+    p.add_argument("--n", help=n_help)
     add_json(p)
     p.set_defaults(func=_cmd_ring)
 
@@ -262,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export a finite space as DOT or JSON")
     p.add_argument("target", help="gallery name or space expression")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--n", default=None)
+    p.add_argument("--n", help=n_help)
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("bench", help="large-scale layering benchmark")
@@ -287,8 +293,8 @@ def main(argv=None) -> int:
     except ConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except (SpectopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -361,7 +361,10 @@ class FinitePoset:
     def from_json(cls, text: str) -> "FinitePoset":
         """Read ``{"labels": [...], "covers": [[a, b], ...]}``; any other
         shape raises ``ValueError``."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:  # nesting that deep is never the shape below
+            data = None
         if not (isinstance(data, dict) and isinstance(data.get("labels"), list)
                 and isinstance(data.get("covers"), list)
                 and all(isinstance(c, list) and len(c) == 2 for c in data["covers"])):

@@ -8,9 +8,8 @@ import time
 
 import pytest
 
-from spectop import (Con, Dual, FieldsGenerate, SuiteConfig, fan_ring,
-                     get_entry, idempotent_ring, normalize, random_expr,
-                     run_bench, run_property_suite)
+from spectop import (Con, Dual, FieldsGenerate, SuiteConfig, get_entry,
+                     normalize, random_expr, run_bench, run_property_suite)
 from spectop.cli import main
 
 
@@ -181,11 +180,11 @@ def test_criterion_7_structural_laws_over_corpus(default_suite):
 def test_criterion_8_ring_family_shapes():
     ok = True
     for n in range(13):
-        poset = idempotent_ring(n).space.poset
+        poset = get_entry("idempotent", n).space.poset
         ok = ok and len(poset) == 2 ** n and poset.rank_int() == 1
     fan_sizes = list(range(1, 33)) + [100, 1000, 2048, 10_000]
     for n in fan_sizes:
-        poset = fan_ring(n).space.poset
+        poset = get_entry("fan", n).space.poset
         ok = ok and len(poset) == n + 1 and poset.rank_int() == 2
     report(8, "idempotent rings have 2^n points at rank 1 (n<=12); "
               "fan rings have rank 2 up to n=10^4", ok)

@@ -250,6 +250,19 @@ def test_ring_bad_n_exit_2(capsys):
     assert run(capsys, "ring", "idempotent", "--n", "two")[0] == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verdict", "cofan", "--n", "abc"], "--n applies only to a gallery name, not to 'cofan'"),
+    (["export", "fin{a;}", "--n", "3"], "--n applies only to a gallery name, not to 'fin{a;}'"),
+    (["ring", "--n", "5"], "--n applies only to a gallery name; 'ring' lists them all"),
+    (["ring", "neeman_ring", "--n", "7"],
+     "'neeman_ring' is not a family: n must be 'omega' or omitted, got 7"),
+    (["verdict", "valuation_rank1", "--n", "5"],
+     "'valuation_rank1' is not a family: n must be 'omega' or omitted, got 5"),
+], ids=["expression", "export-expression", "ring-listing", "ring-entry", "verdict-entry"])
+def test_n_that_nothing_reads_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # -- suites ------------------------------------------------------------------------
 
 
@@ -394,6 +407,7 @@ def test_poset_json_replay_bad_label_exit_2(tmp_path, capsys, label):
     '{"labels": ["a"]}',
     '{"labels": "ab", "covers": []}',
     '{"labels": ["a", "c"], "covers": [[["a"], "c"]]}',
+    pytest.param("[" * 200000 + "]" * 200000, id="nested-past-the-recursion-limit"),
 ])
 def test_poset_json_replay_bad_shape_exit_2(tmp_path, capsys, document):
     path = tmp_path / "poset.json"
@@ -420,6 +434,18 @@ def test_bench_small_json(capsys):
     assert payload["agree"] is True and payload["longest_path_rank"] == payload["rank"]
     assert payload["seconds_check"] >= 0
     assert sum(payload["layer_sizes"]) == 3000
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 45.3 GiB"), "Unable to allocate 45.3 GiB"),
+])
+def test_bench_out_of_memory_exit_4(capsys, monkeypatch, error, message):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(spectop.bench, "random_dag", exhausted)
+    assert run(capsys, "bench", "--nodes", "1000") == (4, "", f"error: {message}\n")
 
 
 def test_bench_budget_exit_4(capsys):
