@@ -9,8 +9,9 @@ counts run 10^4, 10^5, ... up to --max-nodes.  Each shape is written out
 as "u v" edge-list text and read back with ``read_edge_list``, and the
 layering runs on the edges read.  Each point records the wall seconds of
 generation, ingest (``seconds_ingest``, the read alone), the peel
-(``seconds_layering``) and the certificate (``seconds_check``);
-``agree`` says that the edges read equal the edges generated and that
+(``seconds_layering``) and the certificate (``seconds_check``), and
+``ingest_peak_mb``, the tracemalloc peak of a second, untimed read, in
+MiB; ``agree`` says that the edges read equal the edges generated and that
 the layering passes its certificate.  One JSON line per point goes to
 stdout, and --out also writes them all to one JSON file.  Exits 1 if any
 point does not agree.
@@ -25,6 +26,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -78,6 +80,10 @@ def main() -> int:
             started = time.perf_counter()
             _, tails_read, heads_read = read_edge_list(text)
             seconds_ingest = time.perf_counter() - started
+            tracemalloc.start()
+            read_edge_list(text)
+            ingest_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             result = run_bench(nodes, edges=(tails_read, heads_read))
             point = {
                 "shape": shape,
@@ -88,6 +94,7 @@ def main() -> int:
                               and np.array_equal(heads_read, heads)),
                 "seconds_generation": round(seconds_generation, 4),
                 "seconds_ingest": round(seconds_ingest, 4),
+                "ingest_peak_mb": round(ingest_peak / 2**20, 2),
                 "seconds_layering": round(result.seconds_layering, 4),
                 "seconds_check": round(result.seconds_check, 4),
             }

@@ -10,10 +10,17 @@ by an O(m) certificate that shares no code with the peel: ``layer`` is
 the longest-path layering exactly when it is 0 on sources and
 ``1 + max(layer[preds])`` elsewhere, which also proves the graph
 acyclic, since layers strictly increase along every edge.
+
+Edge lists arrive as "u v" text.  Text in a plain grammar (ASCII ids,
+blanks and whole-line comments, no float syntax) is read by one
+``np.loadtxt`` call after a guard of ``str``/``bytes`` methods; any other
+text goes to a line loop, the only reader that raises, so every error
+names its line.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import sys
@@ -39,6 +46,9 @@ THIN_FRONTIER = 64
 # int()'s base-10 literal; int() refuses one only for having more digits than
 # sys.get_int_max_str_digits()
 INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+# what _load_ids admits on a comment line, and on every other line
+_COMMENT_BYTES = bytes(range(32, 127)) + b"\t\r\n"
+_ID_BYTES = b"0123456789+- \t\r\n"
 
 
 @dataclass(frozen=True)
@@ -264,72 +274,57 @@ def read_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
 
     ValueError names the first bad line; SizeError refuses an id that does
     not fit in 64 bits."""
-    edges = _read_strict(text)
-    return edges if edges is not None else _read_lines(text)
+    ids = _load_ids(text)
+    if ids is None:
+        return _read_lines(text)
+    nodes = int(ids.max()) + 1 if ids.size else 0
+    return nodes, ids[:, 0].copy(), ids[:, 1].copy()
 
 
-def _read_strict(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """:func:`read_edge_list` in one vectorized pass, for text in the strict
-    grammar: ASCII; tab, "\n" and "\r\n" the only control characters;
-    "u v" lines of decimal ids of at most 18 digits (so below 2**63),
-    separated by spaces or tabs; anything else only on "#" lines.  None
-    for any other text, which :func:`_read_lines` then reads, so that only
-    the line loop ever raises.  Lines are told apart by ``searchsorted``
-    over the newline positions."""
+def _load_ids(text: str) -> np.ndarray | None:
+    r"""The ids of ``text`` as an ``(m, 2)`` int64 array, read by one
+    ``np.loadtxt`` call, for text in the plain grammar: ASCII; "\r" only
+    in "\r\n"; "#" only as the first non-blank character of a line, whose
+    comment holds only printable characters and tabs; every other line
+    only digits, "+", "-", spaces and tabs.  None for any other text, and
+    for text that ``loadtxt`` refuses or that holds a negative id, which
+    :func:`_read_lines` then reads, so that only the line loop ever raises.
+    The grammar leaves ``loadtxt`` no float syntax to read as an integer,
+    which numpy releases do differently."""
     if not (isinstance(text, str) and text.isascii()):
         return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    newlines = np.flatnonzero(b == 10)
-    returns = np.flatnonzero(b == 13)
-    # str.splitlines also breaks at other control characters
-    if np.count_nonzero(b < 32) != newlines.size + returns.size + np.count_nonzero(b == 9):
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
-    if returns.size and (returns[-1] + 1 == b.size or (b[returns + 1] != 10).any()):
-        return None
-    values = b - 48
-    digit = values < 10
-    # each digit run starts and ends, alternately, where ``digit`` flips
-    runs = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2)
-    other = (b > 32) & ~digit
-    if other.any():
-        # the first such byte on a line must be a "#" with no digit before
-        # it on the line; the runs from there to the line's end are no ids
-        at = np.flatnonzero(other)
-        comments, firsts = np.unique(np.searchsorted(newlines, at), return_index=True)
-        hashes = at[firsts]
-        if (b[hashes] != 35).any():
+    pieces, end = [], 0
+    at = text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        stop = text.find("\n", at) + 1 or len(text)
+        if text[start:at].strip(" \t") or text[at:stop].encode().translate(None, _COMMENT_BYTES):
             return None
-        bounds = np.r_[-1, newlines, b.size]
-        lo = np.searchsorted(runs[:, 0], hashes)
-        if (np.searchsorted(runs[:, 0], bounds[comments]) != lo).any():
-            return None
-        # the counts[j] runs from lo[j] on follow the j-th "#" on its line
-        counts = np.searchsorted(runs[:, 0], bounds[comments + 1]) - lo
-        offsets = np.cumsum(counts) - counts
-        runs = np.delete(runs, np.arange(counts.sum()) + np.repeat(lo - offsets, counts), axis=0)
-    starts, ends = runs.T
-    line = np.searchsorted(newlines, starts)
-    # every line left holds no id or exactly two
-    if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        pieces.append(text[end:start])
+        end = stop
+        at = text.find("#", end)
+    pieces.append(text[end:])
+    data = "".join(pieces).encode()
+    if data.translate(None, _ID_BYTES):
         return None
-    width = int((ends - starts).max(initial=0))
-    if width > 18:
+    if not data or data.isspace():
+        return np.empty((0, 2), dtype=np.int64)
+    # int() refuses an id of more than ``limit`` digits; loadtxt reads one
+    # below 2**63, which then has at least limit - 18 leading zeros
+    limit = sys.get_int_max_str_digits()
+    if limit and b"0" * (limit - 18) in data:
         return None
-    # digits[p + 1] is the digit at p, and 0 at a non-digit or at p = -1, so
-    # a walk left from a run's last digit reads 0 once it stops at the byte
-    # before the run
-    digits = np.zeros(b.size + 1, dtype=np.uint8)
-    np.multiply(values, digit, out=digits[1:])
-    ids = np.zeros(starts.size, dtype=np.int64)
-    pos = ends.copy()
-    for k in range(width):
-        # multiply in int64: numpy 1's value-based casting would keep
-        # uint8 * 10**k in the smallest unsigned type holding 10**k
-        ids += np.multiply(digits[pos], 10**k, dtype=np.int64)
-        pos -= 1
-        np.maximum(pos, starts, out=pos)
-    nodes = int(ids.max()) + 1 if ids.size else 0
-    return nodes, ids[0::2].copy(), ids[1::2].copy()
+    try:
+        ids = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # numpy 1 reads an id beyond int64 through a float, which casts back
+    # to the int64 minimum or, on some CPUs, the maximum
+    if ids.shape[1] != 2 or ids.min() < 0 or ids.max() == np.iinfo(np.int64).max:
+        return None
+    return ids
 
 
 def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
@@ -374,6 +369,8 @@ def run_bench(
 ) -> BenchResult:
     """Build (or take) a DAG, compute the layering and, with ``verify``,
     check it with :func:`certify_layering`."""
+    if node_budget < 0:
+        raise ValueError(f"the node budget must be non-negative, got {quote(node_budget)}")
     if nodes > node_budget:
         raise SizeError(f"{quote(nodes)} nodes exceeds the budget of {quote(node_budget)}")
     # decided before any float arithmetic on nodes, which would overflow

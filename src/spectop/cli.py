@@ -187,15 +187,21 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# the random DAG's options, which --edges leaves nothing to read
+_RANDOM_DAG = {"nodes": 1_000_000, "density": 2.0, "seed": 0}
+
+
 def _cmd_bench(args) -> int:
+    given = {name: getattr(args, name) for name in _RANDOM_DAG if getattr(args, name) is not None}
     if args.edges is not None:
+        if given:
+            raise ParseError(f"--{next(iter(given))} applies only to a random DAG, not to --edges")
         with open(args.edges) as handle:
             nodes, tails, heads = read_edge_list(handle.read())
         result = run_bench(nodes, verify=not args.skip_check, node_budget=args.max_size,
                            edges=(tails, heads))
     else:
-        result = run_bench(args.nodes, density=args.density, seed=args.seed,
-                           verify=not args.skip_check, node_budget=args.max_size)
+        result = run_bench(**(_RANDOM_DAG | given), verify=not args.skip_check, node_budget=args.max_size)
     payload = result.to_dict()
     lines = [
         f"nodes: {result.nodes}  edges: {result.edges}",
@@ -272,9 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("bench", help="large-scale layering benchmark")
-    p.add_argument("--nodes", type=int, default=1_000_000)
-    p.add_argument("--density", type=float, default=2.0, help="expected edges per node")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=int, help=f"nodes of the random DAG (default {_RANDOM_DAG['nodes']})")
+    p.add_argument("--density", type=float,
+                   help=f"expected edges per node of the random DAG (default {_RANDOM_DAG['density']})")
+    p.add_argument("--seed", type=int, help=f"seed of the random DAG (default {_RANDOM_DAG['seed']})")
     p.add_argument("--edges", default=None, help="edge-list file, one 'u v' pair per line")
     p.add_argument("--max-size", type=int, default=DEFAULT_NODE_BUDGET, dest="max_size")
     p.add_argument("--skip-check", action="store_true",

@@ -641,10 +641,16 @@ def _check_gallery(laws):
 def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run every block that ``config`` asks for; raises SizeError before any
     work when a block's sizes are beyond what its enumeration can finish,
-    and ValueError before any work for a negative size."""
+    and ValueError before any work for a negative size or count, or for a
+    corpus depth below 1."""
     smallest = min(config.oracle_random_size, config.law_random_size)
     if smallest < 0:
         raise ValueError(f"random poset sizes must be non-negative, got {smallest}")
+    fewest = min(config.oracle_random_count, config.law_random_count, config.corpus_count)
+    if fewest < 0:
+        raise ValueError(f"counts must be non-negative, got {fewest}")
+    if config.corpus_count > 0 and config.corpus_depth < 1:
+        raise ValueError(f"corpus depth must be at least 1, got {config.corpus_depth}")
     if config.oracle_random_count > 0 and config.oracle_random_size > ORACLE_MAX_SIZE:
         raise SizeError(f"random oracle posets of up to {config.oracle_random_size} elements "
                         f"exceed the enumeration guard of {ORACLE_MAX_SIZE}")

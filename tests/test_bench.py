@@ -1,6 +1,7 @@
 import re
 import sys
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -65,6 +66,8 @@ def test_node_budget_refusal():
         run_bench(10**9)
     with pytest.raises(SizeError):
         run_bench(100, node_budget=50)
+    with pytest.raises(ValueError, match=r"^the node budget must be non-negative, got -1$"):
+        run_bench(0, node_budget=-1)
 
 
 def test_read_edge_list():
@@ -185,6 +188,17 @@ _EDGE_TEXTS = st.one_of(
 @example(f"0 {'1' * 4301}\n0 x")
 @example(f"-{'1' * 4301} 0")
 @example(f"{'1' * 4301}x 0")
+@example(f"{'0' * 4301}1 0")
+@example("#\r0")
+@example("0 1#")
+@example("1.0 2")
+@example("1e3 2")
+@example("nan 2")
+@example("0\x00 1")
+@example("0 1\r")
+@example("-0 1")
+@example("+1 2")
+@example("# a\n# b\n")
 def test_read_edge_list_matches_the_line_loop(text):
     assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
 
@@ -192,18 +206,34 @@ def test_read_edge_list_matches_the_line_loop(text):
 def test_strict_grammar_is_read_in_one_pass():
     for text in ("", "\n\n", "0 1", "0 1\r\n1 2\r\n", " 3\t4 \n# 5 6 x\n\t# y\n12 000000000000000012\n",
                  f"# header\n{'9' * 18} 0\n"):
-        assert bench._read_strict(text) is not None, repr(text)
+        assert bench._load_ids(text) is not None, repr(text)
         assert _outcome(read_edge_list, text) == _outcome(_read_lines, text)
 
 
 def test_strict_reader_keeps_every_digit_place():
-    """Each place value up to 10**17, at digit 9, where a product kept in a
-    narrow integer type would wrap."""
+    """Each place value up to 10**17, at digit 9, read exactly by the
+    loadtxt path."""
     ids = [int("9" * width) for width in range(1, 19)] + [300, 9 * 10**4, 9 * 10**9, 10**17]
     text = "".join(f"{u} {u}\n" for u in ids)
-    nodes, tails, heads = bench._read_strict(text)
+    assert bench._load_ids(text).tolist() == [[u, u] for u in ids]
+    nodes, tails, heads = read_edge_list(text)
     assert nodes == 10**18
     assert tails.tolist() == heads.tolist() == ids
+
+
+def test_reading_a_fan_takes_little_memory_beyond_its_text():
+    """The reader keeps no list of lines and no wide copy of the text: its
+    traced peak is at most 8 bytes per byte of text."""
+    nodes = 100_000
+    ids = np.random.default_rng(5).permutation(nodes + 1)
+    text = "# fan\n" + "".join(f"{u} {ids[-1]}\n" for u in ids[:-1].tolist())
+    tracemalloc.start()
+    try:
+        read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text)
 
 
 def test_id_beyond_the_int_digit_limit_is_refused_as_too_large(tmp_path, capsys):

@@ -288,6 +288,16 @@ def test_oracle_sizes_beyond_the_enumeration_exit_4(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--count", "-1"], "counts must be non-negative, got -1"),
+    (["fuzz", "--count", "-1"], "counts must be non-negative, got -1"),
+    (["fuzz", "--depth", "0"], "corpus depth must be at least 1, got 0"),
+    (["bench", "--max-size", "-1"], "the node budget must be non-negative, got -1"),
+], ids=["oracle-count", "fuzz-count", "fuzz-depth", "bench-max-size"])
+def test_negative_count_or_budget_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_mutation_exit_1(capsys):
     code, lines, _ = run_json(
         capsys, "oracle", "--exhaustive-max", "2", "--count", "3",
@@ -492,6 +502,22 @@ def test_bench_edge_file(tmp_path, capsys):
     code, lines, _ = run_json(capsys, "bench", "--edges", str(path))
     assert code == 0
     assert lines[0]["rank"] == 3
+
+
+@pytest.mark.parametrize("option,value", [("--nodes", "5"), ("--density", "9"), ("--seed", "3")])
+def test_bench_edge_file_refuses_random_dag_options_exit_2(tmp_path, capsys, option, value):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n")
+    assert run(capsys, "bench", "--edges", str(path), option, value) == (
+        2, "", f"error: {option} applies only to a random DAG, not to --edges\n")
+
+
+def test_bench_help_names_the_random_dag_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert all(default in out for default in ("(default 1000000)", "(default 2.0)", "(default 0)"))
 
 
 def test_bench_cyclic_edge_file_exit_2(tmp_path, capsys):

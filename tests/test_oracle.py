@@ -235,6 +235,27 @@ def test_suite_refuses_negative_sizes_up_front(monkeypatch, config):
         run_property_suite(config)
 
 
+@pytest.mark.parametrize("config,message", [
+    (SuiteConfig(oracle_random_count=-1), "counts must be non-negative, got -1"),
+    (SuiteConfig(law_random_count=-2), "counts must be non-negative, got -2"),
+    (SuiteConfig(corpus_count=-3), "counts must be non-negative, got -3"),
+    (SuiteConfig(corpus_depth=0), "corpus depth must be at least 1, got 0"),
+], ids=["oracle-count", "law-count", "corpus-count", "corpus-depth"])
+def test_suite_refuses_negative_counts_and_a_depth_below_one_up_front(monkeypatch, config, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no poset or expression may be built before the check")
+
+    for name in ("random_poset", "enumerate_labeled_posets", "random_expr"):
+        monkeypatch.setattr(f"spectop.oracle.{name}", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_property_suite(config)
+
+
+def test_empty_suite_runs_whatever_its_corpus_depth():
+    # no corpus expression is drawn, so the depth is not read
+    assert run_property_suite(dataclasses.replace(SuiteConfig.empty(), corpus_depth=0)).passed
+
+
 def test_suite_sizes_at_the_bound_are_accepted():
     # the size bound on random oracle posets applies only when some are asked for
     report = run_property_suite(SuiteConfig(exhaustive_max=1, oracle_random_count=0,
