@@ -148,6 +148,8 @@ def _report_exit(args, report) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.exhaustive_max == -1 and args.count == 0:
+        raise ValueError("nothing to check: --exhaustive-max -1 and --count 0 skip both oracle blocks")
     config = SuiteConfig(
         seed=args.seed,
         exhaustive_max=args.exhaustive_max,

@@ -14,9 +14,16 @@ A law hands its own inputs to the recorder by name (``poset=``,
 ``subset=``, ``expr=``, ...); only the first failing case's inputs are
 turned into JSON data.  The oracle blocks draw each poset's subsets as
 masks over its element order, which is also the topology's point order,
-and run the oracle on those masks.  One table per poset, the label set of
-every mask, decodes both the drawn subset (the poset method's input) and
-the oracle's answer (to compare with the method's).
+and run the oracle on those masks.  A table of label sets decodes both
+the drawn subset (the poset method's input) and the oracle's answer (to
+compare with the method's).  A run keeps one table per label tuple and
+fills it as masks first occur, so all posets of the exhaustive block with
+n points share one table (their labels are the first n letters), as do
+the random posets with n points, and a table never holds more than 2^n
+sets.  When the four subset laws hold on every drawn mask of a poset,
+their cases are counted in bulk; otherwise that poset is recorded case by
+case, so failure counts and first counterexamples are exactly those of a
+case-by-case run.
 """
 
 from __future__ import annotations
@@ -474,18 +481,26 @@ class _Laws:
     def __init__(self):
         self.records: dict[str, LawResult] = {}
 
+    def _record(self, name: str) -> LawResult:
+        rec = self.records.get(name)
+        if rec is None:
+            rec = self.records[name] = LawResult(name, 0, 0, None)
+        return rec
+
     def check(self, name: str, ok: bool, **witness):
         """Count one case of law ``name``; the first failing case's named
         inputs become its counterexample."""
-        rec = self.records.get(name)
-        if rec is None:
-            rec = LawResult(name, 0, 0, None)
-            self.records[name] = rec
+        rec = self._record(name)
         rec.cases += 1
         if not ok:
             rec.failures += 1
             if rec.counterexample is None:
                 rec.counterexample = {key: _as_json(value) for key, value in witness.items()}
+
+    def tally(self, names: Sequence[str], cases: int) -> None:
+        """Count ``cases`` passing cases of each law in ``names``, in order."""
+        for name in names:
+            self._record(name).cases += cases
 
     def results(self) -> list[LawResult]:
         return list(self.records.values())
@@ -529,32 +544,47 @@ def _subset_pool(n: int, cap: int, rng: random.Random) -> Sequence[int]:
     return pool
 
 
-def _all_label_sets(labels: Sequence[str]) -> list[frozenset[str]]:
-    """The label set of every mask over ``labels``, indexed by the mask."""
-    out = [frozenset()]
-    for x in labels:
-        out += [s | {x} for s in out]
-    return out
+class _LabelSets(dict):
+    """The label set of each mask over ``labels`` (bit i is ``labels[i]``),
+    decoded on first use and kept: at most 2^n sets for n labels."""
+
+    def __init__(self, labels: Sequence[str]):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, mask: int) -> frozenset[str]:
+        out = self[mask] = frozenset(x for i, x in enumerate(self.labels) if mask >> i & 1)
+        return out
 
 
-def _check_poset_against_oracle(poset, laws, rank, rng):
+# the laws checked on every drawn subset, in the order they are recorded
+_SUBSET_LAWS = ("closure-matches-oracle", "open-test-matches-oracle",
+                "isolated-matches-oracle", "derivative-matches-oracle")
+
+
+def _check_poset_against_oracle(poset, laws, rank, rng, decode=None):
+    """The oracle laws on one poset.  ``decode`` is the label-set table of
+    the poset's labels, which a run shares among posets with the same
+    labels; by default the poset gets a table of its own."""
     topo = downset_topology(poset)  # topo.points is poset.elements
-    decode = _all_label_sets(poset.elements)
-    for s in _subset_pool(len(poset), SuiteConfig.oracle_subset_samples, rng):
-        subset = decode[s]
-        isolated = _isolated_mask(topo, s)
-        laws.check("closure-matches-oracle",
-                   poset.closure(subset) == decode[_closure_mask(topo, s)],
-                   poset=poset, subset=subset)
-        laws.check("open-test-matches-oracle",
-                   poset.is_open(subset) == (s in topo.members),
-                   poset=poset, subset=subset)
-        laws.check("isolated-matches-oracle",
-                   poset.isolated_in(subset) == decode[isolated],
-                   poset=poset, subset=subset)
-        laws.check("derivative-matches-oracle",
-                   poset.derivative_in(subset) == decode[s & ~isolated],
-                   poset=poset, subset=subset)
+    if decode is None:
+        decode = _LabelSets(poset.elements)
+    pool = _subset_pool(len(poset), SuiteConfig.oracle_subset_samples, rng)
+
+    def outcomes(s: int) -> tuple[bool, bool, bool, bool]:
+        """Each subset law on mask ``s``, in ``_SUBSET_LAWS`` order."""
+        subset, isolated = decode[s], _isolated_mask(topo, s)
+        return (poset.closure(subset) == decode[_closure_mask(topo, s)],
+                poset.is_open(subset) == (s in topo.members),
+                poset.isolated_in(subset) == decode[isolated],
+                poset.derivative_in(subset) == decode[s & ~isolated])
+
+    if all(map(all, map(outcomes, pool))):
+        laws.tally(_SUBSET_LAWS, len(pool))
+    else:  # record case by case, so failures and counterexamples are exact
+        for s in pool:
+            for name, ok in zip(_SUBSET_LAWS, outcomes(s)):
+                laws.check(name, ok, poset=poset, subset=decode[s])
     laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), poset=poset)
     laws.check("closed-subset-scattered-matches-oracle",
                poset.scattered_via_closed_subsets() == oracle_scattered(topo), poset=poset)
@@ -641,8 +671,11 @@ def _check_gallery(laws):
 def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run every block that ``config`` asks for; raises SizeError before any
     work when a block's sizes are beyond what its enumeration can finish,
-    and ValueError before any work for a negative size or count, or for a
-    corpus depth below 1."""
+    and ValueError before any work for a negative size or count, an
+    ``exhaustive_max`` below -1 (-1 skips the block), or a corpus depth
+    below 1."""
+    if config.exhaustive_max < -1:
+        raise ValueError(f"exhaustive_max must be at least -1, got {config.exhaustive_max}")
     smallest = min(config.oracle_random_size, config.law_random_size)
     if smallest < 0:
         raise ValueError(f"random poset sizes must be non-negative, got {smallest}")
@@ -668,6 +701,16 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     cross_counts: dict[int, int] = {}
     block_seconds: dict[str, float] = {}
     clock = started
+    # one label-set table per label tuple, for this run only: every poset of
+    # the exhaustive block with n points shares one, as do random posets of n
+    tables: dict[tuple[str, ...], _LabelSets] = {}
+
+    def check_against_oracle(poset: FinitePoset) -> None:
+        labels = poset.elements
+        decode = tables.get(labels)
+        if decode is None:
+            decode = tables[labels] = _LabelSets(labels)
+        _check_poset_against_oracle(poset, laws, rank, rng, decode)
 
     def lap(block: str) -> None:
         nonlocal clock
@@ -679,7 +722,7 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         count = 0
         for poset in enumerate_labeled_posets(n):
             count += 1
-            _check_poset_against_oracle(poset, laws, rank, rng)
+            check_against_oracle(poset)
         poset_counts[n] = count
         if n <= 4:
             cross_counts[n] = count_posets_by_relation_filter(n)
@@ -691,7 +734,7 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         poset = random_poset(rng.randrange(1 << 30),
                              rng.randint(0, config.oracle_random_size),
                              rng.uniform(0.05, 0.6))
-        _check_poset_against_oracle(poset, laws, rank, rng)
+        check_against_oracle(poset)
     lap("random_oracle")
 
     previous = None

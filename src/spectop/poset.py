@@ -29,6 +29,11 @@ redundant input pairs.  A poset built without bitsets builds them from its
 covers on the first query that needs reachability (``leq``, ``closure``,
 ``isolated_in``, ``derivative_in``, ``td_witness``); the rank, the covers,
 ``is_open``, ``height`` and the exports read only the layers and covers.
+A subset query works on two masks built from its input labels: the
+subset's own bits and the OR of its points' up-sets.  The closure is their
+union, the isolated points are the subset's bits outside the up-sets, the
+derivative those inside, and the answer is decoded to labels in one
+C-level pass that selects from ``_order`` by the mask's binary digits.
 Every instance sets the same seven attributes in the same order in its
 constructor, the lazy ones as None, and never adds one later, so CPython
 keeps sharing one key layout across instances.  Numbering the bits from the
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError, quote
@@ -59,6 +65,9 @@ Label = str
 # A DSL identifier, the token the parser reads and every poset label must be:
 # one or more characters that are ``str.isalnum()`` or "_" (exactly ``\w``).
 IDENTIFIER = re.compile(r"\w+")
+
+# bin()'s digits as the bytes 0 and 1, selectors for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _successors(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -99,12 +108,17 @@ class FinitePoset:
 
     Build instances with :func:`construct_poset` or :meth:`from_json`;
     the constructor takes element labels plus index pairs, in any order and
-    with repeats, whose reflexive-transitive closure is the order.
+    with repeats, whose reflexive-transitive closure is the order.  The
+    labels may come as a dict from each label to its position, which the
+    poset then keeps as its index.
     """
 
-    def __init__(self, labels: Sequence[Label], cover_pairs: Iterable[tuple[int, int]]):
+    def __init__(self, labels: Sequence[Label] | dict[Label, int],
+                 cover_pairs: Iterable[tuple[int, int]]):
         self._labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
+        # a dict maps each label to its position, as construct_poset builds it:
+        # kept as the index, so a labelled build hashes its labels once
+        self._index = labels if type(labels) is dict else {lab: i for i, lab in enumerate(self._labels)}
         n = len(self._labels)
         # timsort is linear on sorted input, and sorting puts equal pairs side
         # by side; tuple() returns a tuple pair itself and copies any other
@@ -199,6 +213,26 @@ class FinitePoset:
     def _label_set(self, idxs: Iterable[int]) -> frozenset[Label]:
         return frozenset(map(self._labels.__getitem__, idxs))
 
+    def _masks(self, subset: Iterable[Label]) -> tuple[int, int]:
+        """``subset`` as a bit mask, and the OR of its points' strict up-sets."""
+        if self._up is None:
+            self._reach()
+        up, bit = self._up, self._bit
+        mask = above = 0
+        try:
+            for i in map(self._index.__getitem__, subset):
+                mask |= 1 << bit[i]
+                above |= up[i]
+        except KeyError as missing:
+            raise UnknownLabelError(f"unknown element {quote(missing.args[0])}") from None
+        return mask, above
+
+    def _decode(self, mask: int) -> frozenset[Label]:
+        """The labels of the points whose bits are set in ``mask``, in one
+        C-level pass: the binary digits, lowest first, select from ``_order``."""
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)
+        return frozenset(map(self._labels.__getitem__, compress(self._order, bits)))
+
     # -- order queries ---------------------------------------------------
 
     def leq(self, a: Label, b: Label) -> bool:
@@ -208,50 +242,28 @@ class FinitePoset:
             self._reach()
         return ia == ib or bool(self._up[ia] >> self._bit[ib] & 1)
 
-    def _points(self, mask: int) -> list[int]:
-        """The points whose bits are set in ``mask``."""
-        bits = bin(mask)[:1:-1]
-        out = []
-        k = bits.find("1")
-        while k >= 0:
-            out.append(self._order[k])
-            k = bits.find("1", k + 1)
-        return out
-
     # -- topology ---------------------------------------------------------
 
     def closure(self, subset: Iterable[Label]) -> frozenset[Label]:
         """Topological closure: the up-set generated by ``subset``."""
-        if self._up is None:
-            self._reach()
-        mask = 0
-        for i in self._idx_set(subset):
-            mask |= self._up[i] | 1 << self._bit[i]
-        return self._label_set(self._points(mask))
+        mask, above = self._masks(subset)
+        return self._decode(mask | above)
 
     def is_open(self, subset: Iterable[Label]) -> bool:
         """True iff ``subset`` is a down-set of the order."""
         s = self._idx_set(subset)
         return not any(b in s and a not in s for a, b in self._covers)
 
-    def _isolated_idx(self, s: frozenset[int]) -> frozenset[int]:
-        # isolated in the subspace s <=> minimal within the induced order,
-        # i.e. not strictly above another point of s
-        if self._up is None:
-            self._reach()
-        above = 0
-        for x in s:
-            above |= self._up[x]
-        return frozenset(x for x in s if not above >> self._bit[x] & 1)
-
     def isolated_in(self, subset: Iterable[Label]) -> frozenset[Label]:
-        """The points of ``subset`` isolated in its subspace topology."""
-        return self._label_set(self._isolated_idx(self._idx_set(subset)))
+        """The points of ``subset`` isolated in its subspace topology: its
+        minimal points, those strictly above no other point of it."""
+        mask, above = self._masks(subset)
+        return self._decode(mask & ~above)
 
     def derivative_in(self, subset: Iterable[Label]) -> frozenset[Label]:
         """One Cantor-Bendixson step: drop the isolated points of the subspace."""
-        s = self._idx_set(subset)
-        return self._label_set(s - self._isolated_idx(s))
+        mask, above = self._masks(subset)
+        return self._decode(mask & above)
 
     # -- Cantor-Bendixson layering ----------------------------------------
 
@@ -301,8 +313,7 @@ class FinitePoset:
         i = self.index(x)
         if self._up is None:
             self._reach()
-        w = ((1 << len(self._labels)) - 1) ^ self._up[i]
-        labels = self._label_set(self._points(w))
+        labels = self._decode(((1 << len(self._labels)) - 1) ^ self._up[i])
         return labels, self.is_open(labels)
 
     def find_isolated(self) -> tuple[Label, frozenset[Label], frozenset[Label]]:
@@ -401,7 +412,7 @@ def construct_poset(labels: Sequence[Label], covers: Iterable[tuple[Label, Label
             if not (isinstance(b, str) and b in index):
                 raise UnknownLabelError(f"unknown element {quote(b)}") from None
         raise
-    return FinitePoset(labels, pairs)
+    return FinitePoset(index, pairs)
 
 
 def disjoint_union(parts: Sequence[FinitePoset]) -> FinitePoset:

@@ -293,9 +293,16 @@ def test_oracle_sizes_beyond_the_enumeration_exit_4(capsys, argv, message):
     (["fuzz", "--count", "-1"], "counts must be non-negative, got -1"),
     (["fuzz", "--depth", "0"], "corpus depth must be at least 1, got 0"),
     (["bench", "--max-size", "-1"], "the node budget must be non-negative, got -1"),
-], ids=["oracle-count", "fuzz-count", "fuzz-depth", "bench-max-size"])
+    (["oracle", "--exhaustive-max", "-7", "--count", "0"], "exhaustive_max must be at least -1, got -7"),
+], ids=["oracle-count", "fuzz-count", "fuzz-depth", "bench-max-size", "oracle-exhaustive-max"])
 def test_negative_count_or_budget_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
+def test_oracle_run_that_checks_nothing_exit_2(capsys, json_flag):
+    assert run(capsys, "oracle", "--exhaustive-max", "-1", "--count", "0", *json_flag) == (
+        2, "", "error: nothing to check: --exhaustive-max -1 and --count 0 skip both oracle blocks\n")
 
 
 def test_oracle_mutation_exit_1(capsys):

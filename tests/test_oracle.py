@@ -10,9 +10,9 @@ from spectop import (ExplicitTopology, FinitePoset, RingEntry, SizeError, SuiteC
                      oracle_closure, oracle_derivative, oracle_is_open,
                      oracle_isolated, oracle_rank, oracle_scattered,
                      parse_expr, random_expr, random_poset, run_property_suite)
-from spectop.oracle import (LAW_MAX_SIZE, _all_label_sets, _check_poset_against_oracle,
-                            _Laws, _rank_fn, _subset_pool, rewrite_measure,
-                            rewrite_random_order)
+from spectop.oracle import (LAW_MAX_SIZE, _check_poset_against_oracle, _closure_mask,
+                            _isolated_mask, _LabelSets, _Laws, _rank_fn, _subset_pool,
+                            rewrite_measure, rewrite_random_order)
 
 from conftest import posets, space_exprs
 
@@ -114,6 +114,61 @@ def test_oracle_catches_a_spurious_reachability_bit():
     assert failures["closure-matches-oracle"] == 4
     assert failures["isolated-matches-oracle"] == 4
     assert failures["derivative-matches-oracle"] == 4
+
+
+def _check_case_by_case(poset, laws, rank, rng):
+    """The oracle laws on one poset with every case recorded on its own: the
+    reference that the suite's per-poset tally must reproduce exactly."""
+    topo = downset_topology(poset)
+    decode = list(all_subsets(poset.elements))
+    for s in _subset_pool(len(poset), SuiteConfig.oracle_subset_samples, rng):
+        subset = decode[s]
+        isolated = _isolated_mask(topo, s)
+        laws.check("closure-matches-oracle",
+                   poset.closure(subset) == decode[_closure_mask(topo, s)],
+                   poset=poset, subset=subset)
+        laws.check("open-test-matches-oracle",
+                   poset.is_open(subset) == (s in topo.members),
+                   poset=poset, subset=subset)
+        laws.check("isolated-matches-oracle",
+                   poset.isolated_in(subset) == decode[isolated],
+                   poset=poset, subset=subset)
+        laws.check("derivative-matches-oracle",
+                   poset.derivative_in(subset) == decode[s & ~isolated],
+                   poset=poset, subset=subset)
+    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), poset=poset)
+    laws.check("closed-subset-scattered-matches-oracle",
+               poset.scattered_via_closed_subsets() == oracle_scattered(topo), poset=poset)
+
+
+def _corrupted():
+    p = construct_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    p.leq("a", "d")  # builds the up-set bitsets
+    p._up[p.index("a")] |= 1 << p._bit[p.index("d")]
+    return p
+
+
+_SMALL = [p for n in range(5) for p in enumerate_labeled_posets(n)]
+# drawn subsets, not every subset, from 6 points on
+_DRAWN = [random_poset(seed=n, size=n, edge_density=0.3) for n in range(6, 11)]
+
+
+@pytest.mark.parametrize("posets, mutate, failures", [
+    (_SMALL + _DRAWN, None, 0),
+    # each corrupted poset fails 4 subsets in each of 3 laws
+    (_SMALL[:30] + [_corrupted()] + _DRAWN + [_corrupted()], None, 24),
+    (_SMALL + _DRAWN, "rank-off-by-one", len(_SMALL + _DRAWN)),
+], ids=["every-poset-up-to-4", "corrupted-bit", "rank-off-by-one"])
+def test_per_poset_tally_records_what_case_by_case_checks_record(posets, mutate, failures):
+    rank = _rank_fn(SuiteConfig(mutate=mutate))
+    runs = []
+    for check in (_check_case_by_case, _check_poset_against_oracle):
+        laws, rng = _Laws(), random.Random(11)
+        for p in posets:
+            check(p, laws, rank, rng)
+        runs.append((laws.results(), rng.getstate()))
+    assert runs[0] == runs[1]
+    assert sum(law.failures for law in runs[0][0]) == failures
 
 
 # -- generators ---------------------------------------------------------------------
@@ -379,18 +434,25 @@ def test_subset_pool_draws_what_the_label_set_pool_drew(cap):
         poset = random_poset(seed=n, size=n, edge_density=0.3)
         label_rng, mask_rng = random.Random(100 + n), random.Random(100 + n)
         expected = _label_set_pool(poset, cap, label_rng)
-        decoded = _all_label_sets(poset.elements)
+        decoded = _LabelSets(poset.elements)
         assert [decoded[m] for m in _subset_pool(n, cap, mask_rng)] == expected
         assert mask_rng.getstate() == label_rng.getstate()
 
 
-def test_all_label_sets_is_indexed_by_mask():
-    assert _all_label_sets(("a", "b", "c")) == list(all_subsets(("a", "b", "c")))
+def test_label_sets_decode_each_mask_once():
+    decode = _LabelSets(("a", "b", "c"))
+    assert [decode[m] for m in range(8)] == list(all_subsets(("a", "b", "c")))
+    assert decode[5] is decode[5] and len(decode) == 8
 
 
 def test_suite_rejects_unknown_mutation():
     with pytest.raises(ValueError):
         run_property_suite(SuiteConfig(mutate="nope"))
+
+
+def test_suite_rejects_exhaustive_max_below_minus_one():
+    with pytest.raises(ValueError, match="^exhaustive_max must be at least -1, got -2$"):
+        run_property_suite(dataclasses.replace(SuiteConfig.empty(), exhaustive_max=-2))
 
 
 def test_suite_empty_config_vacuous_pass():

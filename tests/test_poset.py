@@ -232,6 +232,86 @@ def test_isolated_in_subspace_is_minimal_in_induced_order():
     assert p.isolated_in(sub) == minimal
 
 
+def _assert_queries_match_leq(p, subsets, points):
+    """``closure``, ``isolated_in``, ``derivative_in``, ``td_witness`` and
+    ``find_isolated`` against their definitions in terms of ``leq`` alone."""
+    els = p.elements
+    for subset in subsets:
+        s = frozenset(subset)
+        isolated = frozenset(x for x in s if not any(y != x and p.leq(y, x) for y in s))
+        closure = frozenset(y for y in els if y in s or any(p.leq(x, y) for x in s))
+        # each query reads the subset once, so a list or a generator will do
+        for kind in (list, iter):
+            assert p.closure(kind(subset)) == closure
+            assert p.isolated_in(kind(subset)) == isolated
+            assert p.derivative_in(kind(subset)) == s - isolated
+    for x in points:
+        assert p.td_witness(x) == (frozenset(y for y in els if y == x or not p.leq(x, y)), True)
+    if els:
+        # the first point in element order that no other point lies below;
+        # trying the found point first keeps the scan short on a dual fan
+        x, u, w = p.find_isolated()
+        below_first = (x, *els)
+        assert not any(y != x and p.leq(y, x) for y in els)
+        assert all(any(z != y and p.leq(z, y) for z in below_first) for y in els[:els.index(x)])
+        assert u == {x} and w == p.td_witness(x)[0]
+
+
+def _small_subsets(p):
+    els = p.elements
+    return [[x for i, x in enumerate(els) if m >> i & 1] for m in range(1 << len(els))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_poset(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "c"), ("e", "f")]),
+    lambda: construct_poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("e", "d")]),
+    lambda: FinitePoset([f"v{i}" for i in range(9)], _random_dag(random.Random(5), 9)),
+], ids=["skip", "long-skip", "random-dag"])
+def test_mask_queries_match_leq_when_bitsets_are_built_eagerly(build):
+    p = build()
+    assert p._up is not None
+    _assert_queries_match_leq(p, _small_subsets(p), p.elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain(*"abcdef"),
+    lambda: fan(4),
+    lambda: fan(4).dual(),
+    lambda: construct_poset(list("abcd"), []),
+    lambda: construct_poset(list("abcdef"), [(x, y) for x in "abc" for y in "def"]),
+    lambda: construct_poset([], []),
+], ids=["chain", "fan", "dual_fan", "antichain", "bipartite", "empty"])
+def test_mask_queries_match_leq_when_bitsets_are_built_lazily(build):
+    p = build()
+    assert p._up is None
+    _assert_queries_match_leq(p, _small_subsets(p), p.elements)
+    assert p._up is not None
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fan", "dual_fan"])
+def test_mask_queries_match_leq_on_a_30000_point_fan(dual):
+    p = fan(30000).dual() if dual else fan(30000)
+    assert p._up is None
+    subsets = [["m"], ["p1"], ["p1", "p2", "m"], ["p7", "p7", "m", "p7"],
+               ["p30000", "p15000"], [], ["p3", "m", "p3"]]
+    _assert_queries_match_leq(p, subsets, ["m", "p1", "p30000"])
+    whole = frozenset(p.elements)
+    generic = whole - {"m"} if not dual else frozenset(["m"])
+    assert p.closure(whole) == whole
+    assert p.isolated_in(whole) == generic and p.derivative_in(whole) == whole - generic
+
+
+def test_subset_queries_take_repeats_and_generators():
+    p = construct_poset(list("abcd"), [("a", "b"), ("b", "c"), ("a", "c")])
+    for method in ("closure", "isolated_in", "derivative_in", "is_open"):
+        query = getattr(p, method)
+        want = query({"b", "d"})
+        assert query(["b", "d", "b", "d", "d"]) == want
+        assert query(x for x in "bdb") == want
+        with pytest.raises(UnknownLabelError, match="^unknown element 'z'$"):
+            query(x for x in "bz")
+
+
 # -- rank ---------------------------------------------------------------------
 
 
