@@ -18,10 +18,8 @@ from .errors import (ArityError, ConflictError, CycleError, EmptySpaceError,
 from .gallery import OMEGA, KnownTruth, RingEntry, catalog, get_entry
 from .oracle import (ExplicitTopology, SuiteConfig, SuiteReport,
                      count_posets_by_relation_filter, downset_topology,
-                     enumerate_labeled_posets, oracle_closure,
-                     oracle_derivative, oracle_is_open, oracle_isolated,
-                     oracle_rank, oracle_scattered, random_expr, random_poset,
-                     run_property_suite)
+                     enumerate_labeled_posets, oracle_rank, oracle_scattered,
+                     random_expr, random_poset, run_property_suite)
 from .ordinal import ZERO, Ordinal, parse_cnf
 from .poset import FinitePoset, construct_poset, disjoint_union, export
 

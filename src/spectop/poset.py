@@ -12,44 +12,49 @@ every operation below is documented against this one.
 Representation
 --------------
 One representation at every size.  An instance holds its labels, its peel
-layers, its canonical covers and its up-set bitsets, and nothing else.  The
-constructor peels the poset once, frontier by frontier (Kahn 1962): the
-frontiers are the Cantor-Bendixson layers, the first of them lists the
-minimal points, and their concatenation is a topological order.  A pair
-whose layers differ by exactly one is a cover, since a point strictly
-between would put its head two layers above its tail; when every input
-pair is one layer apart (chains, antichains, fans and their duals), the
-sorted pairs are the covers and nothing more is built.  Otherwise a walk
-of that order backwards stores each point's strict up-set as a Python-int
-bitset over the reverse order (bit k of ``_up[i]`` is set iff
-i < ``_order[k]``) and keeps only the covering pairs of the input
-(transitive reduction, Aho-Garey-Ullman 1972).  Either way equality,
-hashing, ``covers`` and the exports never depend on the size or on
-redundant input pairs.  A poset built without bitsets builds them from its
-covers on the first query that needs reachability (``leq``, ``closure``,
-``isolated_in``, ``derivative_in``, ``td_witness``); the rank, the covers,
-``is_open``, ``height`` and the exports read only the layers and covers.
-A subset query works on two masks built from its input labels: the
-subset's own bits and the OR of its points' up-sets.  The closure is their
-union, the isolated points are the subset's bits outside the up-sets, the
-derivative those inside, and the answer is decoded to labels in one
-C-level pass that selects from ``_order`` by the mask's binary digits.
-Every instance sets the same seven attributes in the same order in its
+layers, its canonical covers, its lower-cover lists and its up-set bitsets,
+and nothing else.  The constructor peels the poset once, frontier by
+frontier (Kahn 1962): the frontiers are the Cantor-Bendixson layers, the
+first of them lists the minimal points, and their concatenation is a
+topological order.  A pair whose layers differ by exactly one is a cover,
+since a point strictly between would put its head two layers above its
+tail; when every input pair is one layer apart (chains, antichains, fans
+and their duals), the sorted pairs are the covers and nothing more is
+built.  Otherwise a walk of that order backwards stores each point's strict
+up-set as a Python-int bitset over the reverse order (bit k of ``_up[i]``
+is set iff i lies strictly below the point labelled ``_order[k]``) and
+keeps only the covering pairs of the input (transitive reduction,
+Aho-Garey-Ullman 1972).  Either way equality, hashing, ``covers`` and the
+exports never depend on the size or on redundant input pairs.  A poset
+built without bitsets builds them from its covers on the first query that
+needs reachability (``leq``, ``closure``, ``isolated_in``,
+``derivative_in``, ``td_witness``).  ``is_open`` and ``height`` read a
+table of each point's lower covers, built from the covers on the first
+call of either: a subset is open iff each of its points has its lower
+covers in it, which costs the subset's size plus the covers into it, and
+the height is a longest-path pass over the lower covers.  The rank, the
+covers and the exports read only the layers and covers.  A subset query
+works on two masks built from its input labels: the subset's own bits and
+the OR of its points' up-sets.  The closure is their union, the isolated
+points are the subset's bits outside the up-sets, the derivative those
+inside, and the answer is decoded to labels in one C-level pass that
+selects labels from ``_order`` by the mask's binary digits.  Every
+instance sets the same eight attributes in the same order in its
 constructor, the lazy ones as None, and never adds one later, so CPython
-keeps sharing one key layout across instances.  Numbering the bits from the
-top keeps masks short where up-sets are small: a fan, its dual and an
-antichain take memory linear in their size.  Labels are DSL identifiers, so
-every printed poset parses back.  Values do not change after construction
-and all operations are pure: a lazily built bitset is a cache, and two
-threads that race to fill it compute the same value, so instances are safe
-to share across threads.
+keeps sharing one key layout across instances.  Numbering the bits from
+the top keeps masks short where up-sets are small: a fan, its dual and an
+antichain take memory linear in their size.  Labels are DSL identifiers,
+so every printed poset parses back.  Values do not change after
+construction and all operations are pure: a lazily built table is a cache,
+and two threads that race to fill it compute the same value, so instances
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError, quote
@@ -163,15 +168,25 @@ class FinitePoset:
             order, bit, up, covers = _backward_pass(layers, succ)
             covers = pairs if len(covers) == len(pairs) else sorted(covers)
         self._layers, self._covers = layers, tuple(covers)
-        self._order, self._bit = order, bit
+        self._below = None
+        self._order = None if order is None else [self._labels[v] for v in order]
+        self._bit = bit
         # last: whoever finds the bitsets built finds _order and _bit set too
         self._up = up
 
     def _reach(self) -> None:
         """Build the up-set bitsets from the covers, on first use."""
         order, bit, up, _ = _backward_pass(self._layers, _successors(len(self._labels), self._covers))
-        self._order, self._bit = order, bit
+        self._order, self._bit = [self._labels[v] for v in order], bit
         self._up = up
+
+    def _lower(self) -> list[list[int]]:
+        """Each point's lower covers, built from the covers on first use."""
+        below: list[list[int]] = [[] for _ in self._labels]
+        for a, b in self._covers:
+            below[b].append(a)
+        self._below = below
+        return below
 
     # -- basics --------------------------------------------------------
 
@@ -204,12 +219,6 @@ class FinitePoset:
         except KeyError:
             raise UnknownLabelError(f"unknown element {quote(label)}") from None
 
-    def _idx_set(self, labels: Iterable[Label]) -> frozenset[int]:
-        try:
-            return frozenset(map(self._index.__getitem__, labels))
-        except KeyError as missing:
-            raise UnknownLabelError(f"unknown element {quote(missing.args[0])}") from None
-
     def _label_set(self, idxs: Iterable[int]) -> frozenset[Label]:
         return frozenset(map(self._labels.__getitem__, idxs))
 
@@ -230,8 +239,7 @@ class FinitePoset:
     def _decode(self, mask: int) -> frozenset[Label]:
         """The labels of the points whose bits are set in ``mask``, in one
         C-level pass: the binary digits, lowest first, select from ``_order``."""
-        bits = bin(mask)[:1:-1].encode().translate(_BITS)
-        return frozenset(map(self._labels.__getitem__, compress(self._order, bits)))
+        return frozenset(compress(self._order, bin(mask)[:1:-1].encode().translate(_BITS)))
 
     # -- order queries ---------------------------------------------------
 
@@ -250,9 +258,14 @@ class FinitePoset:
         return self._decode(mask | above)
 
     def is_open(self, subset: Iterable[Label]) -> bool:
-        """True iff ``subset`` is a down-set of the order."""
-        s = self._idx_set(subset)
-        return not any(b in s and a not in s for a, b in self._covers)
+        """True iff ``subset`` is a down-set of the order: each of its points
+        has its lower covers in it."""
+        try:
+            s = frozenset(map(self._index.__getitem__, subset))
+        except KeyError as missing:
+            raise UnknownLabelError(f"unknown element {quote(missing.args[0])}") from None
+        below = self._lower() if self._below is None else self._below
+        return s.issuperset(chain.from_iterable(map(below.__getitem__, s)))
 
     def isolated_in(self, subset: Iterable[Label]) -> frozenset[Label]:
         """The points of ``subset`` isolated in its subspace topology: its
@@ -282,18 +295,21 @@ class FinitePoset:
     def height(self) -> int:
         """Longest chain, counted in edges; -1 for the empty poset.
 
-        Computed by a longest-path pass over the covers, taking the points
-        layer by layer (a topological order).  It uses the peel's layers as
-        an order but not their count, so it checks ``rank_int`` independently.
+        Computed by a longest-path pass over the lower covers, taking the
+        points layer by layer (a topological order): a point above the first
+        layer ends a chain one longer than the longest ending at one of its
+        lower covers.  It uses the peel's layers as an order but not their
+        count, so it checks ``rank_int`` independently.
         """
-        succ = _successors(len(self._labels), self._covers)
+        below = self._lower() if self._below is None else self._below
         dist = [0] * len(self._labels)
-        for layer in self._layers:
+        for layer in self._layers[1:]:
             for v in layer:
-                dv = dist[v] + 1
-                for w in succ[v]:
-                    if dist[w] < dv:
-                        dist[w] = dv
+                d = 0
+                for c in below[v]:
+                    if d <= dist[c]:
+                        d = dist[c] + 1
+                dist[v] = d
         return max(dist, default=-1)
 
     # -- duality -----------------------------------------------------------

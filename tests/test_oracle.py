@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,11 @@ from hypothesis import given, settings
 from spectop import (ExplicitTopology, FinitePoset, RingEntry, SizeError, SuiteConfig,
                      count_posets_by_relation_filter, construct_poset,
                      downset_topology, enumerate_labeled_posets, normalize,
-                     oracle_closure, oracle_derivative, oracle_is_open,
-                     oracle_isolated, oracle_rank, oracle_scattered,
-                     parse_expr, random_expr, random_poset, run_property_suite)
-from spectop.oracle import (LAW_MAX_SIZE, _check_poset_against_oracle, _closure_mask,
-                            _isolated_mask, _LabelSets, _Laws, _rank_fn, _subset_pool,
-                            rewrite_measure, rewrite_random_order)
+                     oracle_rank, oracle_scattered, parse_expr, random_expr,
+                     random_poset, run_property_suite)
+from spectop.oracle import (_LETTERS, LAW_MAX_SIZE, _check_poset_against_oracle,
+                            _closure_mask, _isolated_mask, _LabelSets, _Laws, _rank_fn,
+                            _subset_pool, rewrite_measure, rewrite_random_order)
 
 from conftest import posets, space_exprs
 
@@ -27,12 +27,48 @@ def all_subsets(labels):
         yield frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
 
 
+# -- the oracle's answers as label sets: the references for the poset methods --
+
+
+def mask_of(topo: ExplicitTopology, subset) -> int:
+    m = 0
+    for x in subset:
+        try:
+            m |= 1 << topo.points.index(x)
+        except ValueError:
+            raise ValueError(f"unknown point {x!r}") from None
+    return m
+
+
+def labels_of(topo: ExplicitTopology, mask: int) -> frozenset[str]:
+    return frozenset(x for i, x in enumerate(topo.points) if mask >> i & 1)
+
+
+def oracle_is_open(topo: ExplicitTopology, subset) -> bool:
+    return mask_of(topo, subset) in topo.members
+
+
+def oracle_closure(topo: ExplicitTopology, subset) -> frozenset[str]:
+    """Smallest closed superset, intersecting all closed supersets."""
+    return labels_of(topo, _closure_mask(topo, mask_of(topo, subset)))
+
+
+def oracle_isolated(topo: ExplicitTopology, subset) -> frozenset[str]:
+    """Points y of the subset with an open U such that U * subset = {y}."""
+    return labels_of(topo, _isolated_mask(topo, mask_of(topo, subset)))
+
+
+def oracle_derivative(topo: ExplicitTopology, subset) -> frozenset[str]:
+    s = mask_of(topo, subset)
+    return labels_of(topo, s & ~_isolated_mask(topo, s))
+
+
 # -- explicit topologies ---------------------------------------------------------
 
 
 def test_downset_topology_two_chain():
     topo = downset_topology(chain("a", "b"))
-    opens = {topo.labels_of(m) for m in topo.opens}
+    opens = {labels_of(topo, m) for m in topo.opens}
     assert opens == {frozenset(), frozenset({"a"}), frozenset({"a", "b"})}
 
 
@@ -200,6 +236,50 @@ def test_random_expr_deterministic():
     a = random_expr(random.Random(5), 6)
     b = random_expr(random.Random(5), 6)
     assert a == b
+
+
+def _relabeled_posets(n):
+    """Every partial order on n labeled points, each once: the upper-triangular
+    transitive relations relabeled through every permutation and deduplicated
+    (a poset always admits a linear extension, so this reaches all of them).
+    The reference for the one-point extension in ``enumerate_labeled_posets``."""
+    labels = tuple(_LETTERS[:n])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen: set[frozenset[tuple[int, int]]] = set()
+    for bits in range(1 << len(pairs)):
+        rel = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
+        succ: dict[int, set[int]] = {}
+        for a, b in rel:
+            succ.setdefault(a, set()).add(b)
+        if any(c not in succ[a] for a in succ for b in succ[a] for c in succ.get(b, ())):
+            continue
+        for perm in permutations(range(n)):
+            mapped = frozenset((perm[a], perm[b]) for a, b in rel)
+            if mapped not in seen:
+                seen.add(mapped)
+                yield construct_poset(labels, [(labels[a], labels[b]) for a, b in mapped])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumeration_matches_the_relabeling_reference(n):
+    enumerated = list(enumerate_labeled_posets(n))
+    assert len(set(enumerated)) == len(enumerated)
+    assert set(enumerated) == set(_relabeled_posets(n))
+    assert all(p.elements == tuple(_LETTERS[:n]) for p in enumerated)
+
+
+@pytest.mark.parametrize("enumerate_or_count", [enumerate_labeled_posets,
+                                                count_posets_by_relation_filter])
+def test_enumerators_refuse_sizes_out_of_range_before_any_work(monkeypatch, enumerate_or_count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no poset may be built before the size check")
+
+    monkeypatch.setattr("spectop.oracle.FinitePoset", refuse)
+    monkeypatch.setattr("spectop.oracle._orders", refuse)
+    with pytest.raises(ValueError, match="^the number of points must be non-negative, got -1$"):
+        enumerate_or_count(-1)
+    with pytest.raises(SizeError, match=f"^{len(_LETTERS) + 1} points exceed the {len(_LETTERS)} labels a..o$"):
+        enumerate_or_count(len(_LETTERS) + 1)
 
 
 def test_enumeration_cross_check_small_sizes():

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from graphlib import TopologicalSorter
 
 import hypothesis.strategies as st
 import pytest
@@ -93,7 +94,7 @@ def test_transitive_input_reduces_to_covers():
     assert with_shortcut.covers == (("a", "b"), ("b", "c"))
 
 
-_FIELDS = ["_labels", "_index", "_layers", "_covers", "_order", "_bit", "_up"]
+_FIELDS = ["_labels", "_index", "_layers", "_covers", "_below", "_order", "_bit", "_up"]
 
 
 @given(posets(max_size=8), st.randoms(use_true_random=False))
@@ -152,6 +153,44 @@ def test_is_open_examples():
     assert p.is_open({"p1", "p2"})
     assert not p.is_open({"m"})
     assert p.is_open(set())
+
+
+def _is_open_by_cover_scan(p, subset):
+    """The reference for ``is_open``: no cover climbs into ``subset`` from
+    outside it."""
+    s = set(subset)
+    return not any(b in s and a not in s for a, b in p.covers)
+
+
+def _height_by_cover_scan(p):
+    """The reference for ``height``: a longest-path pass over each point's
+    successors, in a topological order that owes nothing to the peel."""
+    succ = {x: [] for x in p.elements}
+    for a, b in p.covers:
+        succ[a].append(b)
+    dist = dict.fromkeys(p.elements, 0)
+    for v in TopologicalSorter({b: [a] for a, b in p.covers}).static_order():
+        for w in succ[v]:
+            dist[w] = max(dist[w], dist[v] + 1)
+    return max(dist.values(), default=-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fan(30000),
+    lambda: fan(30000).dual(),
+    lambda: chain(*[f"c{i}" for i in range(20000)]),
+], ids=["fan", "dual_fan", "chain"])
+def test_is_open_and_height_on_large_posets_match_the_cover_scan(build):
+    p = build()
+    els = p.elements
+    rng = random.Random(7)
+    subsets = [set(), set(els), {els[0]}, {els[-1]}, {els[0], els[-1]}, set(els[:len(els) // 2]),
+               set(els[len(els) // 2:]), set(els) - {els[0]}, set(els) - {els[-1]},
+               {x for x in els if rng.random() < 0.5}, set(rng.sample(els, 3))]
+    for s in subsets:
+        assert p.is_open(s) == _is_open_by_cover_scan(p, s)
+    assert p.height() == _height_by_cover_scan(p)
+    assert p._up is None  # neither query builds the up-set bitsets
 
 
 @given(posets())
