@@ -2,13 +2,13 @@
 """Paired benchmark runs: a base revision against this checkout.
 
 Usage: python scripts/paired_bench.py --base <rev> --workload <w> [--seed S]
-       [--pairs K] [--seconds T] [--smoke]
+       [--pairs K] [--smoke]
 
 The base revision is checked out with ``git worktree add`` into a temporary
 directory, which is removed at the end.  Each pair runs each side's own
-``perfbench/run.py`` once, with the same options, and alternates which side
-goes first, so a bias towards the first or second run of a pair falls on
-both sides alike.  For each end-to-end metric of ``BENCHMARK.json`` it prints
+``perfbench/run.py`` once, with the same options and the run length of
+``BENCHMARK.json``, and alternates which side goes first, so a bias towards
+the first or second run of a pair falls on both sides alike.  For each end-to-end metric of ``BENCHMARK.json`` it prints
 both medians, the base's quartile spread (IQR), the change's wins, losses
 and ties, and a one-sided sign-test p-value.  The row ``raw_pass_s`` is each
 run's median of its raw CPU pass totals (``pass_totals_s``), not scaled by
@@ -16,7 +16,8 @@ the reference kernel.  A gain is claimed only when the change wins at least
 nine tenths of the pairs (ties count for neither), the sign test's p is
 below 0.05 (so at least five pairs), and the medians differ in its favour by
 more than the base's IQR; a metric whose median is worse than the base's by
-more than its bound is marked so.
+more than its bound is marked so.  No gain is claimed, and the exit status
+is 1, when a larger share of the change's checks fails than of the base's.
 """
 
 from __future__ import annotations
@@ -64,10 +65,19 @@ def compare(base: list[float], change: list[float], better: str, bound: float | 
     }
 
 
-def run_side(root: str, args) -> dict:
+def more_checks_fail(base: list[dict], change: list[dict]) -> bool:
+    """True iff a larger share of the change's checks fails than of the
+    base's, over all runs; each run has ``failed`` and ``attempted``."""
+    def share(runs):
+        attempted = sum(r["attempted"] for r in runs)
+        return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+    return share(change) > share(base)
+
+
+def run_side(root: str, args, seconds: float) -> dict:
     """One run of ``root``'s own benchmark: its metrics, correctness and raw pass totals."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds)] + (["--smoke"] if args.smoke else [])
+           "--seconds", str(seconds)] + (["--smoke"] if args.smoke else [])
     done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     record, result = json.loads(lines[-2])["record"], json.loads(lines[-1])
@@ -85,7 +95,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--smoke", action="store_true", help="the benchmark's tiny inputs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_side(base_root if side == "base" else ROOT, args))
+                runs[side].append(run_side(base_root if side == "base" else ROOT, args, spec["run_seconds"]))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): wall_s base "
                   f"{runs['base'][-1]['values']['wall_s']:.4g}, change {runs['change'][-1]['values']['wall_s']:.4g}",
                   file=sys.stderr)
@@ -110,13 +119,15 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "remove", "--force", base_root], cwd=ROOT, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
 
+    failing = more_checks_fail(runs["base"], runs["change"])
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs, base {args.base}, "
-          f"{args.seconds:g} s per run{' (smoke)' if args.smoke else ''}")
+          f"{spec['run_seconds']:g} s per run{' (smoke)' if args.smoke else ''}")
     print(f"{'metric':16} {'base':>11} {'change':>11} {'base IQR':>10} {'W/L/T':>8} {'p':>7}  verdict")
     for name, (better, bound) in metrics.items():
         row = compare([r["values"][name] for r in runs["base"]], [r["values"][name] for r in runs["change"]],
                       better, bound)
-        verdict = ("claim" if row["claim"] else "no claim") + (", worse than bound" if row["worse_than_bound"] else "")
+        verdict = ("claim" if row["claim"] and not failing else "no claim") + (
+            ", worse than bound" if row["worse_than_bound"] else "")
         print(f"{name:16} {row['base_median']:11.5g} {row['change_median']:11.5g} {row['base_iqr']:10.3g} "
               f"{row['wins']:>2}/{row['losses']}/{row['ties']:<2} {row['p']:7.3g}  {verdict}")
     for side in ("base", "change"):
@@ -124,7 +135,9 @@ def main(argv=None) -> int:
         attempted = sum(r["attempted"] for r in runs[side])
         print(f"{side} checks: {failed} failed of {attempted}; raw pass-total median per run (s): "
               + " ".join(f"{r['values']['raw_pass_s']:.4g}" for r in runs[side]))
-    return 0
+    if failing:
+        print("a larger share of checks failed on the change than on the base: no gain is claimed")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -12,42 +12,43 @@ every operation below is documented against this one.
 Representation
 --------------
 One representation at every size.  An instance holds its labels, its peel
-layers, its canonical covers, its lower-cover lists and its up-set bitsets,
-and nothing else.  The constructor peels the poset once, frontier by
-frontier (Kahn 1962): the frontiers are the Cantor-Bendixson layers, the
-first of them lists the minimal points, and their concatenation is a
+layers, its canonical covers, its lower-cover lists and its up-set
+bitsets, and nothing else.  The constructor peels the poset once, frontier
+by frontier (Kahn 1962): the frontiers are the Cantor-Bendixson layers,
+the first of them lists the minimal points, and their concatenation is a
 topological order.  A pair whose layers differ by exactly one is a cover,
 since a point strictly between would put its head two layers above its
 tail; when every input pair is one layer apart (chains, antichains, fans
 and their duals), the sorted pairs are the covers and nothing more is
-built.  Otherwise a walk of that order backwards stores each point's strict
-up-set as a Python-int bitset over the reverse order (bit k of ``_up[i]``
-is set iff i lies strictly below the point labelled ``_order[k]``) and
-keeps only the covering pairs of the input (transitive reduction,
+built.  Otherwise a walk of that order backwards stores each point's
+strict up-set as a Python-int bitset over the reverse order (bit k of
+``_up[i]`` is set iff i lies strictly below the point of bit k) and keeps
+only the covering pairs of the input (transitive reduction,
 Aho-Garey-Ullman 1972).  Either way equality, hashing, ``covers`` and the
 exports never depend on the size or on redundant input pairs.  A poset
 built without bitsets builds them from its covers on the first query that
 needs reachability (``leq``, ``closure``, ``isolated_in``,
-``derivative_in``, ``td_witness``).  ``is_open`` and ``height`` read a
-table of each point's lower covers, built from the covers on the first
-call of either: a subset is open iff each of its points has its lower
-covers in it, which costs the subset's size plus the covers into it, and
-the height is a longest-path pass over the lower covers.  The rank, the
-covers and the exports read only the layers and covers.  A subset query
-works on two masks built from its input labels: the subset's own bits and
-the OR of its points' up-sets.  The closure is their union, the isolated
-points are the subset's bits outside the up-sets, the derivative those
-inside, and the answer is decoded to labels in one C-level pass that
-selects labels from ``_order`` by the mask's binary digits.  Every
-instance sets the same eight attributes in the same order in its
-constructor, the lazy ones as None, and never adds one later, so CPython
-keeps sharing one key layout across instances.  Numbering the bits from
-the top keeps masks short where up-sets are small: a fan, its dual and an
-antichain take memory linear in their size.  Labels are DSL identifiers,
-so every printed poset parses back.  Values do not change after
-construction and all operations are pure: a lazily built table is a cache,
-and two threads that race to fill it compute the same value, so instances
-are safe to share across threads.
+``derivative_in``, ``td_witness``); the labels in bit order, ``_order``,
+are listed on the first subset query, so a build pays for them only when a
+query decodes a mask.  ``is_open`` and ``height`` read a table of each
+point's lower covers, built from the covers on the first call of either: a
+subset is open iff each of its points has its lower covers in it, which
+costs the subset's size plus the covers into it, and the height is a
+longest-path pass over the lower covers.  The rank, the covers and the
+exports read only the layers and covers.  A subset query works on two
+masks built from its input labels: the subset's own bits and the OR of its
+points' up-sets.  The closure is their union, the isolated points are the
+subset's bits outside the up-sets, the derivative those inside, and the
+answer is decoded to labels in one C-level pass that selects labels from
+``_order`` by the mask's binary digits.  Every instance sets the same
+eight attributes in the same order in its constructor, the lazy ones as
+None, and never adds one later, so CPython keeps sharing one key layout
+across instances.  Numbering the bits from the top keeps masks short where
+up-sets are small: a fan, its dual and an antichain take memory linear in
+their size.  Labels are DSL identifiers, so every printed poset parses
+back.  Values do not change after construction and all operations are
+pure: a lazily built table is a cache, and two threads that race to fill
+it compute the same value, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -163,30 +164,39 @@ class FinitePoset:
         # is a cover: a point strictly between would put its head two layers
         # above its tail.  Only a pair that skips a layer needs reachability.
         if all(layer_of[b] - layer_of[a] == 1 for a, b in pairs):
-            covers, order, bit, up = pairs, None, None, None
+            covers, bit, up = pairs, None, None
         else:
-            order, bit, up, covers = _backward_pass(layers, succ)
+            _, bit, up, covers = _backward_pass(layers, succ)
             covers = pairs if len(covers) == len(pairs) else sorted(covers)
         self._layers, self._covers = layers, tuple(covers)
         self._below = None
-        self._order = None if order is None else [self._labels[v] for v in order]
+        # the labels in bit order wait for the first subset query (_reach)
+        self._order = None
         self._bit = bit
-        # last: whoever finds the bitsets built finds _order and _bit set too
+        # last: whoever finds the bitsets built finds _bit set too
         self._up = up
 
     def _reach(self) -> None:
-        """Build the up-set bitsets from the covers, on first use."""
-        order, bit, up, _ = _backward_pass(self._layers, _successors(len(self._labels), self._covers))
-        self._order, self._bit = [self._labels[v] for v in order], bit
-        self._up = up
+        """Build what subset queries read, on first use: the up-set bitsets
+        from the covers unless the constructor kept them, then the labels in
+        bit order."""
+        labels = self._labels
+        if self._up is None:
+            order, bit, up, _ = _backward_pass(self._layers, _successors(len(labels), self._covers))
+            self._bit = bit
+            self._up = up
+            names = list(map(labels.__getitem__, order))
+        else:
+            names = [None] * len(labels)
+            for label, k in zip(labels, self._bit):
+                names[k] = label
+        # last: whoever finds _order set finds the bitsets set too
+        self._order = names
 
     def _lower(self) -> list[list[int]]:
         """Each point's lower covers, built from the covers on first use."""
-        below: list[list[int]] = [[] for _ in self._labels]
-        for a, b in self._covers:
-            below[b].append(a)
-        self._below = below
-        return below
+        self._below = _successors(len(self._labels), [(b, a) for a, b in self._covers])
+        return self._below
 
     # -- basics --------------------------------------------------------
 
@@ -224,7 +234,7 @@ class FinitePoset:
 
     def _masks(self, subset: Iterable[Label]) -> tuple[int, int]:
         """``subset`` as a bit mask, and the OR of its points' strict up-sets."""
-        if self._up is None:
+        if self._order is None:
             self._reach()
         up, bit = self._up, self._bit
         mask = above = 0
@@ -327,7 +337,7 @@ class FinitePoset:
         returned rather than asserted so the construction stays checkable.
         """
         i = self.index(x)
-        if self._up is None:
+        if self._order is None:
             self._reach()
         labels = self._decode(((1 << len(self._labels)) - 1) ^ self._up[i])
         return labels, self.is_open(labels)

@@ -66,3 +66,15 @@ def test_runs_must_pair_up():
         paired_bench.compare([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         paired_bench.compare([], [], "lower")
+
+
+def test_more_failed_checks_on_the_change_forbid_a_claim():
+    clean = [{"failed": 0, "attempted": 1000}] * 3
+    assert not paired_bench.more_checks_fail(clean, clean)
+    one_failure = clean[:2] + [{"failed": 1, "attempted": 1000}]
+    assert paired_bench.more_checks_fail(clean, one_failure)
+    assert not paired_bench.more_checks_fail(one_failure, clean)
+    # shares, not counts: more checks run with the same failure rate is no worse
+    assert not paired_bench.more_checks_fail([{"failed": 1, "attempted": 100}],
+                                             [{"failed": 2, "attempted": 200}])
+    assert not paired_bench.more_checks_fail([{"failed": 0, "attempted": 0}], [{"failed": 0, "attempted": 0}])

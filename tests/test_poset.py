@@ -651,12 +651,17 @@ def test_pairs_that_skip_a_layer_are_reduced_eagerly():
     labels = [f"v{i}" for i in range(n)]
     p = FinitePoset(labels, edges)
     assert p._up is not None and list(vars(p)) == _FIELDS
+    assert p._order is None  # the labels in bit order wait for a subset query
     dropped = sorted(set(edges) - set(p._covers))
     assert dropped
     for a, c in dropped:  # each dropped pair has a point strictly between
         assert p.leq(labels[a], labels[c])
         assert any(p.leq(labels[a], labels[b]) and p.leq(labels[b], labels[c])
                    for b in range(n) if b not in (a, c))
+    assert p._order is None
+    for x in labels[::37]:
+        assert p.closure([x]) == {y for y in labels if p.leq(x, y)}
+    assert len(p._order) == n and list(vars(p)) == _FIELDS
     shuffled = edges * 2
     rng.shuffle(shuffled)
     assert FinitePoset(labels, shuffled) == p
