@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Layering benchmark sweep: five DAG shapes x node counts, per-phase seconds.
+"""Layering benchmark sweep: six DAG shapes x node counts, per-phase seconds.
 
 Shapes: ``random`` (``random_dag`` at --density), ``chain`` (one path
-through permuted node ids, edges in shuffled order), ``antichain`` (no
-edges), ``fan`` (every point under one sink) and ``dual_fan`` (one
-source over every other point: a single tail holds every edge).  Node
+through permuted node ids, edges in shuffled order), ``ladder`` (two
+nodes per level, each with one out-edge to the next level, ids permuted
+and edges shuffled: thin levels that are not one-node paths),
+``antichain`` (no edges), ``fan`` (every point under one sink) and
+``dual_fan`` (one source over every other point: a single tail holds
+every edge).  Node
 counts run 10^4, 10^5, ... up to --max-nodes.  Each shape is written out
 as "u v" edge-list text and read back with ``read_edge_list``, and the
 layering runs on the edges read.  Each point records the wall seconds of
@@ -38,6 +41,11 @@ def _chain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
     return ids[:-1][order], ids[1:][order]
 
 
+def _ladder(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    ids, order = rng.permutation(nodes), rng.permutation(max(nodes - 2, 0))
+    return ids[:-2][order], ids[2:][order]
+
+
 def _antichain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     empty = np.empty(0, dtype=np.int64)
     return empty, empty.copy()
@@ -65,6 +73,7 @@ def main() -> int:
     shapes = {
         "random": lambda n, rng: random_dag(n, args.density, args.seed),
         "chain": _chain,
+        "ladder": _ladder,
         "antichain": _antichain,
         "fan": _fan,
         "dual_fan": _dual_fan,

@@ -5,7 +5,9 @@ its minimal elements assigns each node the layer equal to the longest
 path ending there, and the rank is the number of layers.  The peel does
 work proportional to each level's frontier and its out-edges: wide
 levels go through numpy, thin ones through a scalar Kahn (1962) loop, so
-the total stays linear however deep the graph.  The result is checked
+the total stays linear however deep the graph.  Where a level is a single
+node with a single out-edge, as along a chain, the scalar loop walks the
+path node to node, with no per-level list.  The result is checked
 by an O(m) certificate that shares no code with the peel: ``layer`` is
 the longest-path layering exactly when it is 0 on sources and
 ``1 + max(layer[preds])`` elsewhere, which also proves the graph
@@ -153,10 +155,31 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
     next frontier is thin too).  Returns the first frontier left unpeeled,
     empty or with too many out-edges, and its level.  The arrays are read
     and written through ``memoryview``s, which give and take plain ints
-    where numpy indexing would box a scalar per access."""
+    where numpy indexing would box a scalar per access.
+
+    A frontier of one node with one out-edge is walked as a path: the node
+    takes its level, and its head, the only node the next frontier can
+    hold, loses one remaining in-edge.  A freed head is the next one-node
+    frontier.  A head left with in-edges ends the peel with an empty
+    frontier; in a DAG that cannot happen, since some unpeeled node would
+    be a source, so the caller then reports the cycle.  The walk builds no
+    list or slice per level.  A node with no or several out-edges is
+    peeled by the general loop."""
     starts, successors, remaining, layers = (memoryview(a) for a in (indptr, sorted_heads, indegree, layer))
     current = frontier.tolist()
     while current:
+        if len(current) == 1:
+            v = current[0]
+            start = starts[v]
+            while starts[v + 1] == start + 1:
+                layers[v] = level
+                level += 1
+                v = successors[start]
+                remaining[v] -= 1
+                if remaining[v]:
+                    return np.empty(0, dtype=np.int64), level
+                start = starts[v]
+            current = [v]
         out_edges = 0
         for v in current:
             out_edges += starts[v + 1] - starts[v]
@@ -389,7 +412,7 @@ def run_bench(
     layer = cb_layering(nodes, tails, heads)
     seconds_layering = time.perf_counter() - t_layer
     rank = int(layer.max()) + 1 if nodes else 0
-    sizes = tuple(int(c) for c in np.bincount(layer, minlength=rank)) if nodes else ()
+    sizes = tuple(np.bincount(layer, minlength=rank).tolist()) if nodes else ()
     t_check = time.perf_counter()
     agree = certify_layering(nodes, tails, heads, layer) if verify else None
     seconds_check = time.perf_counter() - t_check

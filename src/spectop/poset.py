@@ -229,9 +229,6 @@ class FinitePoset:
         except KeyError:
             raise UnknownLabelError(f"unknown element {quote(label)}") from None
 
-    def _label_set(self, idxs: Iterable[int]) -> frozenset[Label]:
-        return frozenset(map(self._labels.__getitem__, idxs))
-
     def _masks(self, subset: Iterable[Label]) -> tuple[int, int]:
         """``subset`` as a bit mask, and the OR of its points' strict up-sets."""
         if self._order is None:
@@ -289,11 +286,6 @@ class FinitePoset:
         return self._decode(mask & above)
 
     # -- Cantor-Bendixson layering ----------------------------------------
-
-    def cb_layers(self) -> list[frozenset[Label]]:
-        """Peeling layers: layer k holds the points removed by the k-th
-        derivative, i.e. the k-th frontier of the constructor's peel."""
-        return [self._label_set(layer) for layer in self._layers]
 
     def rank_int(self) -> int:
         """Least k with the k-th derivative empty (0 for the empty poset)."""

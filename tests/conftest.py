@@ -26,6 +26,19 @@ def posets(draw, max_size: int = 6):
     return construct_poset(labels, covers)
 
 
+def cb_layers(poset) -> list[frozenset]:
+    """The Cantor-Bendixson layers of a finite poset from the definition:
+    layer k holds the points isolated in what k derivatives leave, found
+    by ``isolated_in`` on the remaining subspace until nothing is left."""
+    layers, rest = [], frozenset(poset.elements)
+    while rest:
+        isolated = poset.isolated_in(rest)
+        assert isolated, f"no isolated point among {sorted(rest)}"
+        layers.append(isolated)
+        rest -= isolated
+    return layers
+
+
 def ordinals():
     """Canonical CNF ordinals with a handful of terms."""
 

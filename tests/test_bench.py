@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import time
@@ -14,6 +15,8 @@ from spectop.bench import (THIN_FRONTIER, _csr, cb_layering,
                            read_edge_list)
 from spectop.cli import main
 from spectop.errors import quote
+
+from conftest import cb_layers
 
 
 def test_empty_graph():
@@ -36,7 +39,7 @@ def test_layering_matches_poset_rank_on_downsampled_instances():
             labels, [(f"v{t}", f"v{h}") for t, h in zip(tails.tolist(), heads.tolist())]
         )
         assert int(layer.max()) + 1 == poset.rank_int()
-        for level, members in enumerate(poset.cb_layers()):
+        for level, members in enumerate(cb_layers(poset)):
             assert members == {f"v{i}" for i in np.flatnonzero(layer == level)}
 
 
@@ -321,6 +324,14 @@ def test_bench_on_explicit_edges():
     assert result.layer_sizes == (2, 1, 1)
 
 
+def test_layer_sizes_are_python_ints():
+    """Not numpy scalars, which ``bench --json`` could not serialize."""
+    result = run_bench(2000, seed=4)
+    assert sum(result.layer_sizes) == 2000
+    assert all(type(size) is int for size in result.layer_sizes)
+    assert json.loads(json.dumps(result.to_dict()))["layer_sizes"] == list(result.layer_sizes)
+
+
 def test_certificate_rejects_bad_layerings():
     tails, heads = random_dag(300, 2.0, 5)
     layer = cb_layering(300, tails, heads)
@@ -371,11 +382,24 @@ def _broom(handle: int, width: int, tail: int) -> tuple[int, list, list]:
     return sink + tail + 1, tails, heads
 
 
+def _join(left: int, right: int, tail: int) -> tuple[int, list, list]:
+    """Chains of ``left`` and ``right`` nodes whose last nodes both lie
+    under the first node of a chain of ``tail + 1`` more: the frontier
+    holds two nodes until the shorter chain ends, then one, whose path
+    reaches a head that has lost its other in-edge already."""
+    meet = left + right
+    tails = list(range(left - 1)) + list(range(left, meet - 1)) + [left - 1, meet - 1] \
+        + list(range(meet, meet + tail))
+    heads = list(range(1, left)) + list(range(left + 1, meet)) + [meet, meet] \
+        + list(range(meet + 1, meet + tail + 1))
+    return meet + tail + 1, tails, heads
+
+
 @st.composite
 def shaped_dags(draw):
-    """Chains, antichains, fans, dual fans, random DAGs and brooms, each
-    with node ids permuted; sizes straddle ``THIN_FRONTIER``."""
-    shape = draw(st.sampled_from(["chain", "antichain", "fan", "dual_fan", "random", "broom"]))
+    """Chains, antichains, fans, dual fans, random DAGs, brooms and joins,
+    each with node ids permuted; sizes straddle ``THIN_FRONTIER``."""
+    shape = draw(st.sampled_from(["chain", "antichain", "fan", "dual_fan", "random", "broom", "join"]))
     k = draw(st.integers(min_value=1, max_value=3 * THIN_FRONTIER))
     if shape == "chain":
         n, tails, heads = k, list(range(k - 1)), list(range(1, k))
@@ -389,10 +413,16 @@ def shaped_dags(draw):
         density = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
         t, h = random_dag(k, density, draw(st.integers(min_value=0, max_value=1000)))
         n, tails, heads = k, t.tolist(), h.tolist()
-    else:
+    elif shape == "broom":
         n, tails, heads = _broom(
             draw(st.integers(min_value=1, max_value=2 * THIN_FRONTIER)),
             draw(st.integers(min_value=1, max_value=2 * THIN_FRONTIER)),
+            draw(st.integers(min_value=0, max_value=2 * THIN_FRONTIER)),
+        )
+    else:
+        n, tails, heads = _join(
+            k,
+            draw(st.integers(min_value=1, max_value=3 * THIN_FRONTIER)),
             draw(st.integers(min_value=0, max_value=2 * THIN_FRONTIER)),
         )
     ids = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).permutation(n)
@@ -405,20 +435,54 @@ def _laid_out(ids: np.ndarray, layout: str) -> np.ndarray:
     return ids.astype(layout)
 
 
+def _assert_poset_layers(nodes: int, tails: np.ndarray, heads: np.ndarray) -> None:
+    """``cb_layering`` puts each node in its layer of the poset the edges
+    generate, and passes the certificate."""
+    layer = cb_layering(nodes, tails, heads)
+    labels = [f"v{i}" for i in range(nodes)]
+    poset = construct_poset(labels, [(f"v{t}", f"v{h}") for t, h in zip(tails.tolist(), heads.tolist())])
+    layers = cb_layers(poset)
+    assert int(layer.max()) + 1 == len(layers)
+    for level, members in enumerate(layers):
+        assert members == {f"v{i}" for i in np.flatnonzero(layer == level)}
+    assert certify_layering(nodes, tails, heads, layer)
+
+
 @given(shaped_dags(), st.sampled_from(["int64", "int32", ">i8", "strided"]))
 def test_layering_matches_poset_layers_per_node(dag, layout):
     """Also on int32, big-endian and non-contiguous edge arrays, which the
     CSR build turns into the layout the thin peel reads."""
     nodes, tails, heads = dag
-    tails, heads = _laid_out(tails, layout), _laid_out(heads, layout)
-    layer = cb_layering(nodes, tails, heads)
-    labels = [f"v{i}" for i in range(nodes)]
-    poset = construct_poset(labels, [(f"v{t}", f"v{h}") for t, h in zip(tails.tolist(), heads.tolist())])
-    layers = poset.cb_layers()
-    assert int(layer.max()) + 1 == len(layers)
-    for level, members in enumerate(layers):
-        assert members == {f"v{i}" for i in np.flatnonzero(layer == level)}
-    assert certify_layering(nodes, tails, heads, layer)
+    _assert_poset_layers(nodes, _laid_out(tails, layout), _laid_out(heads, layout))
+
+
+@pytest.mark.parametrize("nodes, tails, heads", [
+    # the path ends at a sink
+    (12, list(range(11)), list(range(1, 12))),
+    # the path ends at a node of several out-edges: a broom's handle
+    _broom(10, 5, 3),
+    _broom(10, 2 * THIN_FRONTIER, 3),
+    # the path reaches a head whose other in-edge the general loop removed
+    _join(3, 9, 4),
+    _join(9, 3, 0),
+    # duplicate edges: two out-edges of a path node to one head
+    (8, [0, 1, 1, 2, 3, 4, 5, 6, 6], [1, 2, 2, 3, 4, 5, 6, 7, 7]),
+    (5, [0, 0, 1, 2, 3], [1, 1, 2, 3, 4]),
+], ids=["sink", "broom", "wide_broom", "join_short_first", "join_long_first", "repeat", "repeat_at_source"])
+def test_each_exit_of_the_path_walk(nodes, tails, heads):
+    for ids in (np.arange(nodes), np.random.default_rng(nodes).permutation(nodes)):
+        _assert_poset_layers(nodes, ids[np.array(tails, dtype=np.int64)], ids[np.array(heads, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("tails, heads", [
+    ([0, 1, 2, 3, 4], [1, 2, 3, 4, 2]),  # the path runs into a three-cycle
+    ([0, 1, 2], [1, 2, 2]),  # the path ends in a self-loop
+    ([0, 0, 1, 2, 3, 4, 5], [1, 2, 3, 3, 4, 5, 4]),  # two nodes, then a path into a two-cycle
+])
+def test_path_walk_into_a_cycle_raises(tails, heads):
+    nodes = max(tails + heads) + 1
+    with pytest.raises(CycleError):
+        cb_layering(nodes, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64))
 
 
 @settings(max_examples=200)

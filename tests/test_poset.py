@@ -15,7 +15,7 @@ from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordina
 
 from spectop.errors import QUOTE_PREFIX
 
-from conftest import posets
+from conftest import cb_layers, posets
 
 
 def fan(n=2):
@@ -117,8 +117,7 @@ def test_redundant_input_pairs_change_nothing(p, rng):
             s = {x for i, x in enumerate(els) if mask >> i & 1}
             for method in ("is_open", "closure", "isolated_in", "derivative_in"):
                 assert getattr(r, method)(s) == getattr(p, method)(s)
-        for method in ("height", "cb_layers"):
-            assert getattr(r, method)() == getattr(p, method)()
+        assert r.height() == p.height() and cb_layers(r) == cb_layers(p)
         if len(p):
             assert r.find_isolated() == p.find_isolated()
         assert list(vars(r)) == _FIELDS
@@ -400,7 +399,7 @@ def test_disjoint_union_prefixes_every_part_on_a_clash(parts):
 
 def test_layers_partition_the_space():
     p = fan(4)
-    layers = p.cb_layers()
+    layers = cb_layers(p)
     assert layers[0] == {"p1", "p2", "p3", "p4"}
     assert layers[1] == {"m"}
 
@@ -411,7 +410,7 @@ def test_layers_partition_the_space():
 def test_dual_fan_is_cofan_shape():
     d = fan(3).dual()
     assert set(d.covers) == {("m", "p1"), ("m", "p2"), ("m", "p3")}
-    assert d.cb_layers()[0] == {"m"}
+    assert cb_layers(d)[0] == {"m"}
 
 
 @given(posets())
@@ -553,8 +552,8 @@ def test_deep_chain_isolation_and_layers(n, flip):
     bottom = labels[0]
     assert p.isolated_in(p.elements) == {bottom}
     assert p.derivative_in(p.elements) == frozenset(labels[1:])
-    layers = p.cb_layers()
-    assert len(layers) == n and all(layer == {x} for layer, x in zip(layers, labels))
+    layers = cb_layers(p)
+    assert len(layers) == n == p.rank_int() and all(layer == {x} for layer, x in zip(layers, labels))
     assert p.scattered_via_closed_subsets(upset_budget=0)
 
 
