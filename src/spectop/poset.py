@@ -12,43 +12,49 @@ every operation below is documented against this one.
 Representation
 --------------
 One representation at every size.  An instance holds its labels, its peel
-layers, its canonical covers, its lower-cover lists and its up-set
-bitsets, and nothing else.  The constructor peels the poset once, frontier
-by frontier (Kahn 1962): the frontiers are the Cantor-Bendixson layers,
-the first of them lists the minimal points, and their concatenation is a
-topological order.  A pair whose layers differ by exactly one is a cover,
-since a point strictly between would put its head two layers above its
-tail; when every input pair is one layer apart (chains, antichains, fans
-and their duals), the sorted pairs are the covers and nothing more is
-built.  Otherwise a walk of that order backwards stores each point's
-strict up-set as a Python-int bitset over the reverse order (bit k of
-``_up[i]`` is set iff i lies strictly below the point of bit k) and keeps
-only the covering pairs of the input (transitive reduction,
-Aho-Garey-Ullman 1972).  Either way equality, hashing, ``covers`` and the
-exports never depend on the size or on redundant input pairs.  A poset
-built without bitsets builds them from its covers on the first query that
-needs reachability (``leq``, ``closure``, ``isolated_in``,
-``derivative_in``, ``td_witness``); the labels in bit order, ``_order``,
-are listed on the first subset query, so a build pays for them only when a
-query decodes a mask.  ``is_open`` and ``height`` read a table of each
-point's lower covers, built from the covers on the first call of either: a
-subset is open iff each of its points has its lower covers in it, which
-costs the subset's size plus the covers into it, and the height is a
-longest-path pass over the lower covers.  The rank, the covers and the
-exports read only the layers and covers.  A subset query works on two
-masks built from its input labels: the subset's own bits and the OR of its
-points' up-sets.  The closure is their union, the isolated points are the
-subset's bits outside the up-sets, the derivative those inside, and the
-answer is decoded to labels in one C-level pass that selects labels from
-``_order`` by the mask's binary digits.  Every instance sets the same
-eight attributes in the same order in its constructor, the lazy ones as
-None, and never adds one later, so CPython keeps sharing one key layout
-across instances.  Numbering the bits from the top keeps masks short where
+layers, its canonical covers, a table of each point's lower covers and
+one reachability index, and nothing else.  The constructor peels the
+poset once, frontier by frontier (Kahn 1962): the frontiers are the
+Cantor-Bendixson layers, the first of them lists the minimal points, and
+their concatenation is a topological order.  A pair whose layers differ
+by exactly one is a cover, since a point strictly between would put its
+head two layers above its tail; when every input pair is one layer apart
+(chains, antichains, fans and their duals), the sorted pairs are the
+covers and nothing more is built.
+
+The index is built in one place, ``_reach``: a walk of the peel order
+backwards stores each point's strict up-set as a Python-int bitset over
+the reverse order (bit k of ``_up[i]`` is set iff i lies strictly below
+the point of bit k, whose label is ``_order[k]``) and keeps only the
+covering pairs of the successors it walks (transitive reduction,
+Aho-Garey-Ullman 1972).  The constructor calls it on the input pairs when
+one of them skips a layer, and keeps the covers it returns; otherwise the
+first subset query (``closure``, ``isolated_in``, ``derivative_in``,
+``td_witness``) calls it on the covers.  Either way the index is whole or
+absent, and equality, hashing, ``covers`` and the exports never depend on
+the size or on redundant input pairs.  ``is_open`` and ``height`` never
+build the index: they read the lower-cover table, built from the covers
+on the first call of either.  A subset is open iff each of its points has
+its lower covers in it, which costs the subset's size plus the covers into
+it, and the height is a longest-path pass over the lower covers.  The
+rank, the covers and the exports read only the layers and covers.
+
+A subset query works on two masks built from its input labels: the
+subset's own bits and the OR of its points' up-sets.  The closure is
+their union, the isolated points are the subset's bits outside the
+up-sets, the derivative those inside, and the answer is decoded to labels
+in one C-level pass that selects labels from ``_order`` by the mask's
+binary digits.  Numbering the bits from the top keeps masks short where
 up-sets are small: a fan, its dual and an antichain take memory linear in
-their size.  Labels are DSL identifiers, so every printed poset parses
-back.  Values do not change after construction and all operations are
-pure: a lazily built table is a cache, and two threads that race to fill
-it compute the same value, so instances are safe to share across threads.
+their size.
+
+Every instance sets the same eight attributes in the same order in its
+constructor, the lazy ones as None, and never adds one later, so CPython
+keeps sharing one key layout across instances.  Labels are DSL
+identifiers, so every printed poset parses back.  Values do not change
+after construction and all operations are pure: a lazily built table is
+a cache, and two threads that race to fill it compute the same value, so
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -160,38 +166,27 @@ class FinitePoset:
         if sum(map(len, layers)) != n:
             raise CycleError("covering relation contains a cycle")
 
+        self._layers = layers
+        self._covers = self._below = self._order = self._bit = self._up = None
         # every pair climbs at least one layer, and one that climbs exactly one
         # is a cover: a point strictly between would put its head two layers
         # above its tail.  Only a pair that skips a layer needs reachability.
         if all(layer_of[b] - layer_of[a] == 1 for a, b in pairs):
-            covers, bit, up = pairs, None, None
+            self._covers = tuple(pairs)
         else:
-            _, bit, up, covers = _backward_pass(layers, succ)
-            covers = pairs if len(covers) == len(pairs) else sorted(covers)
-        self._layers, self._covers = layers, tuple(covers)
-        self._below = None
-        # the labels in bit order wait for the first subset query (_reach)
-        self._order = None
-        self._bit = bit
-        # last: whoever finds the bitsets built finds _bit set too
-        self._up = up
+            covers = self._reach(succ)
+            self._covers = tuple(pairs if len(covers) == len(pairs) else sorted(covers))
 
-    def _reach(self) -> None:
-        """Build what subset queries read, on first use: the up-set bitsets
-        from the covers unless the constructor kept them, then the labels in
-        bit order."""
+    def _reach(self, succ: list[list[int]] | None = None) -> list[tuple[int, int]]:
+        """Build the reachability index from each point's heads ``succ``, by
+        default from the covers, and return the covering pairs among them."""
         labels = self._labels
-        if self._up is None:
-            order, bit, up, _ = _backward_pass(self._layers, _successors(len(labels), self._covers))
-            self._bit = bit
-            self._up = up
-            names = list(map(labels.__getitem__, order))
-        else:
-            names = [None] * len(labels)
-            for label, k in zip(labels, self._bit):
-                names[k] = label
+        if succ is None:
+            succ = _successors(len(labels), self._covers)
+        order, self._bit, self._up, covers = _backward_pass(self._layers, succ)
         # last: whoever finds _order set finds the bitsets set too
-        self._order = names
+        self._order = [labels[v] for v in order]
+        return covers
 
     def _lower(self) -> list[list[int]]:
         """Each point's lower covers, built from the covers on first use."""
@@ -247,15 +242,6 @@ class FinitePoset:
         """The labels of the points whose bits are set in ``mask``, in one
         C-level pass: the binary digits, lowest first, select from ``_order``."""
         return frozenset(compress(self._order, bin(mask)[:1:-1].encode().translate(_BITS)))
-
-    # -- order queries ---------------------------------------------------
-
-    def leq(self, a: Label, b: Label) -> bool:
-        """True iff a <= b, i.e. b is in the closure of {a}."""
-        ia, ib = self.index(a), self.index(b)
-        if self._up is None:
-            self._reach()
-        return ia == ib or bool(self._up[ia] >> self._bit[ib] & 1)
 
     # -- topology ---------------------------------------------------------
 
@@ -342,16 +328,14 @@ class FinitePoset:
         in element order (minimal elements form a discrete subspace, so
         any of them is isolated there), U is the smallest open set
         containing x, which is {x} because x is minimal, and W is the
-        td_witness open of x.
+        td_witness open of x.  The result is returned unchecked, so that the
+        ``constructive-isolated-point`` law of the suite can check it.
         """
         if not self._labels:
             raise EmptySpaceError("the empty space has no isolated point")
         x = self._labels[self._layers[0][0]]
         u = frozenset([x])
-        w, w_open = self.td_witness(x)
-        if not (w_open and self.is_open(u) and (u & w) == {x}):
-            raise AssertionError(f"isolated-point recipe failed on {self!r} at {x!r}")
-        return x, u, w
+        return x, u, self.td_witness(x)[0]
 
     # -- scatteredness -------------------------------------------------------
 
@@ -376,15 +360,6 @@ class FinitePoset:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    def to_dot(self) -> str:
-        lines = ["digraph poset {"]
-        for lab in self._labels:
-            lines.append(f'  "{lab}";')
-        for a, b in self.covers:
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        return "\n".join(lines)
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
@@ -455,7 +430,11 @@ def disjoint_union(parts: Sequence[FinitePoset]) -> FinitePoset:
 def export(poset: FinitePoset, fmt: str) -> str:
     """Serialize to ``dot`` (covering edges only) or ``json``."""
     if fmt == "dot":
-        return poset.to_dot()
+        lines = ["digraph poset {"]
+        lines += [f'  "{lab}";' for lab in poset.elements]
+        lines += [f'  "{a}" -> "{b}";' for a, b in poset.covers]
+        lines.append("}")
+        return "\n".join(lines)
     if fmt == "json":
         return poset.to_json()
     raise ValueError(f"unknown export format {fmt!r}")

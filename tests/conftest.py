@@ -1,3 +1,5 @@
+from graphlib import TopologicalSorter
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
@@ -24,6 +26,21 @@ def posets(draw, max_size: int = 6):
             if draw(st.booleans()):
                 covers.append((labels[i], labels[j]))
     return construct_poset(labels, covers)
+
+
+def leq(poset):
+    """The order of ``poset`` as a predicate: ``leq(p)(a, b)`` is true iff
+    a <= b.  Read from ``poset.covers`` alone, so it is a reference that owes
+    nothing to the poset's reachability index."""
+    succ = {x: [] for x in poset.elements}
+    for a, b in poset.covers:
+        succ[a].append(b)
+    above = {x: {x} for x in poset.elements}
+    # each point comes after its upper covers, whose up-sets are then whole
+    for x in TopologicalSorter(succ).static_order():
+        for y in succ[x]:
+            above[x] |= above[y]
+    return lambda a, b: b in above[a]
 
 
 def cb_layers(poset) -> list[frozenset]:

@@ -322,6 +322,16 @@ def test_fuzz_command_passes(capsys):
     assert lines[0]["passed"] is True
 
 
+def test_fuzz_reports_a_broken_isolated_point_as_a_failed_law(capsys, monkeypatch):
+    is_open = FinitePoset.is_open
+    # an open test that refuses every singleton, so the isolated point's U = {x} fails
+    monkeypatch.setattr(FinitePoset, "is_open", lambda self, s: len(set(s)) != 1 and is_open(self, s))
+    code, lines, err = run_json(capsys, "fuzz", "--count", "5")
+    assert code == 1 and "Traceback" not in err
+    law = next(law for law in lines[0]["laws"] if law["name"] == "constructive-isolated-point")
+    assert law["failures"] > 0 and law["counterexample"] is not None
+
+
 def test_fuzz_deterministic_given_seed(capsys):
     _, first, _ = run_json(capsys, "fuzz", "--count", "10", "--seed", "3")
     _, second, _ = run_json(capsys, "fuzz", "--count", "10", "--seed", "3")

@@ -15,7 +15,7 @@ from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordina
 
 from spectop.errors import QUOTE_PREFIX
 
-from conftest import cb_layers, posets
+from conftest import cb_layers, leq, posets
 
 
 def fan(n=2):
@@ -37,9 +37,9 @@ def test_construct_singleton():
 
 
 def test_construct_fan():
-    p = fan(2)
-    assert p.leq("p1", "m") and p.leq("p2", "m")
-    assert not p.leq("m", "p1") and not p.leq("p1", "p2")
+    le = leq(fan(2))
+    assert le("p1", "m") and le("p2", "m")
+    assert not le("m", "p1") and not le("p1", "p2")
 
 
 def test_construct_rejects_cycles():
@@ -101,8 +101,8 @@ _FIELDS = ["_labels", "_index", "_layers", "_covers", "_below", "_order", "_bit"
 def test_redundant_input_pairs_change_nothing(p, rng):
     # built from its covers, from every comparable pair, and from those pairs
     # shuffled with repeats; each build answers its first query lazily or not
-    els = p.elements
-    comparable = [(a, b) for a in els for b in els if a != b and p.leq(a, b)]
+    els, le = p.elements, leq(p)
+    comparable = [(a, b) for a in els for b in els if a != b and le(a, b)]
     noisy = comparable + rng.sample(comparable, len(comparable) // 2)
     rng.shuffle(noisy)
     builds = [p] + [construct_poset(els, pairs) for pairs in (p.covers, comparable, noisy)]
@@ -110,7 +110,6 @@ def test_redundant_input_pairs_change_nothing(p, rng):
         assert r == p and hash(r) == hash(p) and r.covers == p.covers
         assert list(vars(r)) == _FIELDS
     for r in builds:
-        assert [r.leq(a, b) for a in els for b in els] == [p.leq(a, b) for a in els for b in els]
         for x in els:
             assert r.td_witness(x) == p.td_witness(x)
         for mask in range(1 << len(p)):
@@ -125,16 +124,16 @@ def test_redundant_input_pairs_change_nothing(p, rng):
 
 @given(posets())
 def test_partial_order_laws(p):
-    els = p.elements
+    els, le = p.elements, leq(p)
     for x in els:
-        assert p.leq(x, x)
+        assert le(x, x)
     for x in els:
         for y in els:
-            if p.leq(x, y) and p.leq(y, x):
+            if le(x, y) and le(y, x):
                 assert x == y
             for z in els:
-                if p.leq(x, y) and p.leq(y, z):
-                    assert p.leq(x, z)
+                if le(x, y) and le(y, z):
+                    assert le(x, z)
 
 
 # -- closure and opens -------------------------------------------------------
@@ -232,7 +231,7 @@ def test_long_labels_are_quoted_by_a_bounded_prefix():
     long = "z" * 5000
     clipped = repr("z" * QUOTE_PREFIX) + "..."
     p = chain("a", "b")
-    for call in (lambda: p.leq("a", long), lambda: p.isolated_in({long}),
+    for call in (lambda: p.index(long), lambda: p.isolated_in({long}),
                  lambda: construct_poset(["a"], [("a", long)])):
         with pytest.raises(UnknownLabelError) as raised:
             call()
@@ -264,8 +263,8 @@ def test_derivative_examples():
 
 def test_isolated_in_subspace_is_minimal_in_induced_order():
     p = construct_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d")])
-    sub = {"b", "c", "d"}
-    minimal = {x for x in sub if not any(y != x and p.leq(y, x) for y in sub)}
+    sub, le = {"b", "c", "d"}, leq(p)
+    minimal = {x for x in sub if not any(y != x and le(y, x) for y in sub)}
     assert minimal == {"b", "d"}
     assert p.isolated_in(sub) == minimal
 
@@ -273,25 +272,25 @@ def test_isolated_in_subspace_is_minimal_in_induced_order():
 def _assert_queries_match_leq(p, subsets, points):
     """``closure``, ``isolated_in``, ``derivative_in``, ``td_witness`` and
     ``find_isolated`` against their definitions in terms of ``leq`` alone."""
-    els = p.elements
+    els, le = p.elements, leq(p)
     for subset in subsets:
         s = frozenset(subset)
-        isolated = frozenset(x for x in s if not any(y != x and p.leq(y, x) for y in s))
-        closure = frozenset(y for y in els if y in s or any(p.leq(x, y) for x in s))
+        isolated = frozenset(x for x in s if not any(y != x and le(y, x) for y in s))
+        closure = frozenset(y for y in els if y in s or any(le(x, y) for x in s))
         # each query reads the subset once, so a list or a generator will do
         for kind in (list, iter):
             assert p.closure(kind(subset)) == closure
             assert p.isolated_in(kind(subset)) == isolated
             assert p.derivative_in(kind(subset)) == s - isolated
     for x in points:
-        assert p.td_witness(x) == (frozenset(y for y in els if y == x or not p.leq(x, y)), True)
+        assert p.td_witness(x) == (frozenset(y for y in els if y == x or not le(x, y)), True)
     if els:
         # the first point in element order that no other point lies below;
         # trying the found point first keeps the scan short on a dual fan
         x, u, w = p.find_isolated()
         below_first = (x, *els)
-        assert not any(y != x and p.leq(y, x) for y in els)
-        assert all(any(z != y and p.leq(z, y) for z in below_first) for y in els[:els.index(x)])
+        assert not any(y != x and le(y, x) for y in els)
+        assert all(any(z != y and le(z, y) for z in below_first) for y in els[:els.index(x)])
         assert u == {x} and w == p.td_witness(x)[0]
 
 
@@ -532,7 +531,8 @@ def test_large_mode_matches_small_mode_semantics():
     labels = [f"p{i}" for i in range(n)] + ["m"]
     big = construct_poset(labels, [(f"p{i}", "m") for i in range(n)])
     assert big.rank_int() == 2
-    assert big.leq("p7", "m") and not big.leq("m", "p7")
+    le = leq(big)
+    assert le("p7", "m") and not le("m", "p7")
     assert big.closure({"p3"}) == {"p3", "m"}
     assert big.isolated_in({"p1", "p2", "m"}) == {"p1", "p2"}
     assert big.dual().rank_int() == 2
@@ -571,7 +571,12 @@ def test_covers_are_canonical_at_every_size(n):
 def _random_dag(rng, n):
     """Index pairs of a random DAG on n nodes: each node above up to three
     earlier ones, plus a fifth of the pairs a < c that skip one node b."""
-    edges = sorted({(rng.randrange(b), b) for b in range(1, n) for _ in range(rng.randint(0, 3))})
+    return _with_shortcuts(rng, sorted({(rng.randrange(b), b) for b in range(1, n)
+                                        for _ in range(rng.randint(0, 3))}))
+
+
+def _with_shortcuts(rng, edges):
+    """The sorted ``edges`` plus a fifth of the pairs a < c that skip one node b."""
     above = {}
     for a, b in edges:
         above.setdefault(a, []).append(b)
@@ -639,7 +644,7 @@ def test_layered_posets_build_no_bitsets_for_a_verdict(build):
         assert list(vars(r)) == _FIELDS
     assert p.height() == p.rank_int() - 1 and p._up is None
     x = p.elements[-1]
-    assert p.leq(x, x) and p._up is not None
+    assert x in p.closure([x]) and p._up is not None
     assert list(vars(p)) == _FIELDS
 
 
@@ -649,29 +654,85 @@ def test_pairs_that_skip_a_layer_are_reduced_eagerly():
     edges = _random_dag(rng, n)
     labels = [f"v{i}" for i in range(n)]
     p = FinitePoset(labels, edges)
-    assert p._up is not None and list(vars(p)) == _FIELDS
-    assert p._order is None  # the labels in bit order wait for a subset query
+    # the constructor built the whole index, the labels in bit order too
+    assert p._up is not None and len(p._order) == n and list(vars(p)) == _FIELDS
     dropped = sorted(set(edges) - set(p._covers))
     assert dropped
+    le = leq(p)
     for a, c in dropped:  # each dropped pair has a point strictly between
-        assert p.leq(labels[a], labels[c])
-        assert any(p.leq(labels[a], labels[b]) and p.leq(labels[b], labels[c])
+        assert le(labels[a], labels[c])
+        assert any(le(labels[a], labels[b]) and le(labels[b], labels[c])
                    for b in range(n) if b not in (a, c))
-    assert p._order is None
     for x in labels[::37]:
-        assert p.closure([x]) == {y for y in labels if p.leq(x, y)}
-    assert len(p._order) == n and list(vars(p)) == _FIELDS
+        assert p.closure([x]) == {y for y in labels if le(x, y)}
+    assert list(vars(p)) == _FIELDS
     shuffled = edges * 2
     rng.shuffle(shuffled)
     assert FinitePoset(labels, shuffled) == p
     assert FinitePoset(labels, p._covers) == p
 
 
+def _index_of(p):
+    """The reachability index, ``(_order, _bit, _up)``, or None when it is not
+    built; it is never half built."""
+    index = (p._order, p._bit, p._up)
+    assert index == (None, None, None) or None not in index
+    return None if p._up is None else index
+
+
+# one call of each public name of FinitePoset, on a poset and one of its points
+_PUBLIC_CALLS = {
+    "closure": lambda p, x: p.closure([x]),
+    "covers": lambda p, x: p.covers,
+    "derivative_in": lambda p, x: p.derivative_in([x]),
+    "dual": lambda p, x: p.dual(),
+    "elements": lambda p, x: p.elements,
+    "find_isolated": lambda p, x: p.find_isolated(),
+    "from_json": lambda p, x: FinitePoset.from_json(p.to_json()),
+    "height": lambda p, x: p.height(),
+    "index": lambda p, x: p.index(x),
+    "is_open": lambda p, x: p.is_open([x]),
+    "isolated_in": lambda p, x: p.isolated_in([x]),
+    "rank": lambda p, x: p.rank(),
+    "rank_int": lambda p, x: p.rank_int(),
+    "scattered_via_closed_subsets": lambda p, x: p.scattered_via_closed_subsets(),
+    "td_witness": lambda p, x: p.td_witness(x),
+    "to_json": lambda p, x: p.to_json(),
+    "to_json_dict": lambda p, x: p.to_json_dict(),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eager_and_lazy_builds_end_with_one_index(seed):
+    # six levels of ten points, each point above one to three of the level
+    # below: every cover climbs one layer, every shortcut skips one
+    rng = random.Random(seed)
+    covers = sorted({(rng.randrange(b // 10 * 10 - 10, b // 10 * 10), b)
+                     for b in range(10, 60) for _ in range(rng.randint(1, 3))})
+    edges = _with_shortcuts(rng, covers)
+    labels = [f"v{i}" for i in range(60)]
+    eager = FinitePoset(labels, edges)
+    assert eager._covers == tuple(covers) and len(covers) < len(edges)
+    assert sorted(_PUBLIC_CALLS) == [name for name in dir(FinitePoset) if not name.startswith("_")]
+    builds_index = {"closure", "derivative_in", "find_isolated", "isolated_in", "td_witness"}
+    for name, call in _PUBLIC_CALLS.items():
+        lazy = FinitePoset(labels, covers)
+        assert _index_of(lazy) is None
+        out = call(lazy, labels[seed])
+        assert (_index_of(lazy) is not None) == (name in builds_index), name
+        if isinstance(out, FinitePoset):
+            _index_of(out)
+        call(eager, labels[seed])
+        assert _index_of(eager) is not None
+        if name in builds_index:
+            assert _index_of(lazy) == _index_of(eager)
+
+
 def test_threads_racing_to_build_the_bitsets_agree():
     n = 2000
     els = [f"c{i}" for i in range(n)]
-    probes = [(i, j) for i in range(0, n, 97) for j in range(0, n, 89)]
-    want = [i <= j for i, j in probes]
+    probes = range(0, n, 97)
+    want = [frozenset(els[i:]) for i in probes]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -682,7 +743,7 @@ def test_threads_racing_to_build_the_bitsets_agree():
 
             def ask():
                 start.wait()
-                results.append([p.leq(els[i], els[j]) for i, j in probes])
+                results.append([p.closure([els[i]]) for i in probes])
 
             threads = [threading.Thread(target=ask) for _ in range(8)]
             for t in threads:
