@@ -14,10 +14,11 @@ layering runs on the edges read.  Each point records the wall seconds of
 generation, ingest (``seconds_ingest``, the read alone), the peel
 (``seconds_layering``) and the certificate (``seconds_check``), and
 ``ingest_peak_mb``, the tracemalloc peak of a second, untimed read, in
-MiB; ``agree`` says that the edges read equal the edges generated and that
-the layering passes its certificate.  One JSON line per point goes to
-stdout, and --out also writes them all to one JSON file.  Exits 1 if any
-point does not agree.
+MiB, and ``layering_peak_mb``, the same for a second, untimed
+``cb_layering`` on the edges read; ``agree`` says that the edges read
+equal the edges generated and that the layering passes its certificate.
+One JSON line per point goes to stdout, and --out also writes them all
+to one JSON file.  Exits 1 if any point does not agree.
 
 Usage: python scripts/bench_sweep.py [--max-nodes N] [--density D] [--seed N]
                                      [--out BENCH_layering.json]
@@ -33,7 +34,7 @@ import tracemalloc
 
 import numpy as np
 
-from spectop.bench import random_dag, read_edge_list, run_bench
+from spectop.bench import cb_layering, random_dag, read_edge_list, run_bench
 
 
 def _chain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +60,16 @@ def _fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 def _dual_fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     points, hub = _fan(nodes, rng)
     return hub, points
+
+
+def _traced_peak(function, *args) -> int:
+    """The tracemalloc peak of ``function(*args)`` alone, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -89,11 +100,9 @@ def main() -> int:
             started = time.perf_counter()
             _, tails_read, heads_read = read_edge_list(text)
             seconds_ingest = time.perf_counter() - started
-            tracemalloc.start()
-            read_edge_list(text)
-            ingest_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            ingest_peak = _traced_peak(read_edge_list, text)
             result = run_bench(nodes, edges=(tails_read, heads_read))
+            layering_peak = _traced_peak(cb_layering, nodes, tails_read, heads_read)
             point = {
                 "shape": shape,
                 "nodes": nodes,
@@ -105,6 +114,7 @@ def main() -> int:
                 "seconds_ingest": round(seconds_ingest, 4),
                 "ingest_peak_mb": round(ingest_peak / 2**20, 2),
                 "seconds_layering": round(result.seconds_layering, 4),
+                "layering_peak_mb": round(layering_peak / 2**20, 2),
                 "seconds_check": round(result.seconds_check, 4),
             }
             print(json.dumps(point), flush=True)

@@ -7,11 +7,14 @@ work proportional to each level's frontier and its out-edges: wide
 levels go through numpy, thin ones through a scalar Kahn (1962) loop, so
 the total stays linear however deep the graph.  Where a level is a single
 node with a single out-edge, as along a chain, the scalar loop walks the
-path node to node, with no per-level list.  The result is checked
-by an O(m) certificate that shares no code with the peel: ``layer`` is
-the longest-path layering exactly when it is 0 on sources and
-``1 + max(layer[preds])`` elsewhere, which also proves the graph
-acyclic, since layers strictly increase along every edge.
+path node to node, with no per-level list.  The index arrays the peel
+builds (CSR offsets and heads, in-degrees, the frontiers after the
+sources, edge positions) are int32, since no run takes more than
+``MAX_NODES`` = 2^31 - 1 nodes or edges; the returned layers are int64.
+The result is checked by an O(m) certificate that shares no code with
+the peel: ``layer`` is the longest-path layering exactly when it is 0 on
+sources and ``1 + max(layer[preds])`` elsewhere, which also proves the
+graph acyclic, since layers strictly increase along every edge.
 
 Edge lists arrive as "u v" text.  Text in a plain grammar (ASCII ids,
 blanks and whole-line comments, no float syntax) is read by one
@@ -34,13 +37,14 @@ import numpy as np
 from .errors import CycleError, SizeError, quote
 
 DEFAULT_NODE_BUDGET = 10_000_000
-# the most nodes any run takes, whatever its budget: the CSR packs each edge
-# into one int64 key, tail * nodes + head, so nodes**2 must fit in int64
-MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
+# the most nodes, and the most edges, any run takes, whatever its budget: the
+# peel holds node ids and edge offsets in int32, and the CSR packs each edge
+# into one int64 key, tail << 32 | head
+MAX_NODES = int(np.iinfo(np.int32).max)
 # run_bench draws at most this many random edges per node of its budget.  An
-# edge costs the peel about as much memory as a node (a few int64 words), so
-# the node budget bounds both; a run at the budget with the default density
-# of 2 is admitted.
+# edge costs the peel about as much memory as a node (a few 32- and 64-bit
+# words), so the node budget bounds both; a run at the budget with the
+# default density of 2 is admitted.
 EDGES_PER_BUDGET_NODE = 2
 # A frontier with fewer nodes and fewer out-edges than this is peeled by
 # the scalar loop, where numpy's per-call overhead would dominate.
@@ -109,8 +113,8 @@ def random_dag(nodes: int, density: float, seed: int) -> tuple[np.ndarray, np.nd
 def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``tails`` and ``heads`` as int64, after an O(m) check that they are
     1-D integer arrays of equal length with every id in ``[0, nodes)``
-    (else ValueError) and that ``nodes**2`` fits in int64, as the CSR's
-    packed keys need (else SizeError)."""
+    (else ValueError) and that neither ``nodes`` nor the edge count exceeds
+    ``MAX_NODES``, as the peel's int32 arrays need (else SizeError)."""
     for name, ids in (("tails", tails), ("heads", heads)):
         if not isinstance(ids, np.ndarray) or ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ValueError(f"{name} must be a 1-D integer array")
@@ -120,6 +124,8 @@ def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.n
         raise ValueError("nodes must be non-negative")
     if nodes > MAX_NODES:
         raise SizeError(f"{quote(nodes)} nodes exceeds the bound of {MAX_NODES}")
+    if tails.size > MAX_NODES:
+        raise SizeError(f"{tails.size} edges exceeds the bound of {MAX_NODES}")
     if tails.size:
         low = min(int(tails.min()), int(heads.min()))
         high = max(int(tails.max()), int(heads.max()))
@@ -131,21 +137,21 @@ def _check_edges(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.n
 def _csr(nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``indptr`` and ``sorted_heads``: each tail's heads, in ascending
     order, at ``sorted_heads[indptr[t]:indptr[t + 1]]``.  One in-place sort
-    of the packed keys ``tail * nodes + head`` (numpy's SIMD sort,
-    O(m log m)) groups them by tail; ``key % nodes`` then decodes the
-    heads in place.  The keys are exact only for ids in ``[0, nodes)`` with
-    ``nodes**2`` in int64, which :func:`_check_edges` ensures.
-    ``sorted_heads`` is a fresh native-endian, C-contiguous int64 array,
-    the layout the thin peel's ``memoryview``s need, whatever the caller
-    passed."""
+    of the int64 packed keys ``tail << 32 | head`` (numpy's SIMD sort,
+    O(m log m)) groups them by tail; the low 32 bits of each key are its
+    head.  The keys are exact for ids in ``[0, nodes)`` with ``nodes`` at
+    most ``MAX_NODES``, which :func:`_check_edges` ensures; so are the
+    offsets, with at most ``MAX_NODES`` edges.  Both arrays are fresh
+    native-endian, C-contiguous int32 arrays, the layout the thin peel's
+    ``memoryview``s read, whatever the caller passed."""
     keys = tails.astype(np.int64)
-    keys *= nodes
-    keys += heads
+    keys <<= 32
+    keys |= heads
     keys.sort()
-    np.remainder(keys, nodes, out=keys)
-    indptr = np.zeros(nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=nodes), out=indptr[1:])
-    return indptr, keys
+    indptr = np.zeros(nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=nodes), dtype=np.int32, out=indptr[1:])
+    sorted_heads = np.bitwise_and(keys, 0xFFFFFFFF, out=np.empty(keys.size, dtype=np.int32), casting="unsafe")
+    return indptr, sorted_heads
 
 
 def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_heads: np.ndarray,
@@ -153,9 +159,11 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
     """Scalar Kahn levels from a frontier of fewer than ``THIN_FRONTIER``
     nodes, for as long as each level has fewer out-edges than that (so the
     next frontier is thin too).  Returns the first frontier left unpeeled,
-    empty or with too many out-edges, and its level.  The arrays are read
-    and written through ``memoryview``s, which give and take plain ints
-    where numpy indexing would box a scalar per access.
+    empty or with too many out-edges, as an int32 array, and its level.
+    The arrays are read and written through ``memoryview``s, which give
+    and take plain ints where numpy indexing would box a scalar per access;
+    ``indptr``, ``sorted_heads`` and ``indegree`` are the native int32
+    arrays :func:`cb_layering` builds, and ``layer`` its int64 result.
 
     A frontier of one node with one out-edge is walked as a path: the node
     takes its level, and its head, the only node the next frontier can
@@ -177,7 +185,7 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
                 v = successors[start]
                 remaining[v] -= 1
                 if remaining[v]:
-                    return np.empty(0, dtype=np.int64), level
+                    return np.empty(0, dtype=np.int32), level
                 start = starts[v]
             current = [v]
         out_edges = 0
@@ -194,7 +202,25 @@ def _peel_thin(frontier: np.ndarray, level: int, indptr: np.ndarray, sorted_head
                     following.append(w)
         current = following
         level += 1
-    return np.asarray(current, dtype=np.int64), level
+    return np.asarray(current, dtype=np.int32), level
+
+
+def _out_heads(frontier: np.ndarray, indptr: np.ndarray, sorted_heads: np.ndarray) -> np.ndarray:
+    """The heads of the frontier's out-edges, repeats included, by one
+    gather.  Its positions are built in place: node i's ``starts[i] -
+    offsets[i]`` repeated over its edges, plus a running count.  So at most
+    two arrays of the level's edge count are alive, and only the result
+    outlives the call."""
+    starts = indptr[frontier]
+    lengths = indptr[1:][frontier] - starts
+    total = int(lengths.sum())
+    if not total:
+        return sorted_heads[:0]
+    offsets = np.zeros(len(lengths), dtype=np.int32)
+    np.cumsum(lengths[:-1], dtype=np.int32, out=offsets[1:])
+    positions = np.repeat(starts - offsets, lengths)
+    positions += np.arange(total, dtype=np.int32)
+    return sorted_heads[positions]
 
 
 # benchmark hook: ROADMAP 1(a)
@@ -204,16 +230,19 @@ def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int =
 
     Each level costs time proportional to its frontier and the frontier's
     out-edges.  ``tails`` and ``heads`` are 1-D integer arrays of equal
-    length with ids in ``[0, nodes)``, else ValueError; ``nodes**2`` must
-    fit in int64, else SizeError.  Raises CycleError when the edge list is
-    not acyclic.
+    length with ids in ``[0, nodes)``, else ValueError; neither ``nodes``
+    nor the edge count may exceed ``MAX_NODES``, else SizeError.  Raises
+    CycleError when the edge list is not acyclic.  The layers come back as
+    int64, whatever the input's dtype.
     """
     tails, heads = _check_edges(nodes, tails, heads)
     if nodes == 0:
         return np.empty(0, dtype=np.int64)
     indptr, sorted_heads = _csr(nodes, tails, heads)
-    indegree = np.bincount(heads, minlength=nodes)
+    indegree = np.bincount(heads, minlength=nodes).astype(np.int32)
     layer = np.full(nodes, -1, dtype=np.int64)
+    # the sources stay in flatnonzero's intp, which numpy indexes with no
+    # cast; the frontiers after them come out of the int32 heads
     frontier = np.flatnonzero(indegree == 0)
     level = 0
     while frontier.size:
@@ -222,20 +251,9 @@ def cb_layering(nodes: int, tails: np.ndarray, heads: np.ndarray, threads: int =
             if not frontier.size:
                 break
         layer[frontier] = level
-        starts = indptr[frontier]
-        lengths = indptr[frontier + 1] - starts
-        total = int(lengths.sum())
-        if total:
-            offsets = np.zeros(len(lengths), dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            positions = (np.arange(total, dtype=np.int64)
-                         - np.repeat(offsets, lengths)
-                         + np.repeat(starts, lengths))
-            successors, counts = np.unique(sorted_heads[positions], return_counts=True)
-            indegree[successors] -= counts
-            frontier = successors[indegree[successors] == 0]
-        else:
-            frontier = np.empty(0, dtype=np.int64)
+        successors, counts = np.unique(_out_heads(frontier, indptr, sorted_heads), return_counts=True)
+        indegree[successors] -= counts
+        frontier = successors[indegree[successors] == 0]
         level += 1
     if (layer < 0).any():
         raise CycleError("edge list contains a cycle")
@@ -401,8 +419,11 @@ def run_bench(
         raise SizeError(f"{quote(nodes)} nodes exceeds the bound of {MAX_NODES}")
     max_edges = EDGES_PER_BUDGET_NODE * node_budget
     # decided before random_dag allocates; a density it rejects is left to it
-    if edges is None and nodes >= 2 and math.isfinite(density) and not density * nodes <= max_edges:
-        raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {quote(max_edges)} edges")
+    if edges is None and nodes >= 2 and math.isfinite(density):
+        if density * nodes > max_edges:
+            raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {quote(max_edges)} edges")
+        if density * nodes > MAX_NODES:
+            raise SizeError(f"density {density} on {nodes} nodes exceeds the bound of {MAX_NODES} edges")
     started = time.perf_counter()
     if edges is None:
         tails, heads = random_dag(nodes, density, seed)

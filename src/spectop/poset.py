@@ -107,7 +107,10 @@ def _backward_pass(layers: list[list[int]], succ: list[list[int]]):
     covers = []
     for v in order:
         reach = 0
-        for w in sorted(succ[v], key=bit.__getitem__, reverse=True):
+        successors = succ[v]
+        if len(successors) > 1:
+            successors = sorted(successors, key=bit.__getitem__, reverse=True)
+        for w in successors:
             if not reach >> bit[w] & 1:
                 covers.append((v, w))
                 reach |= up[w] | 1 << bit[w]

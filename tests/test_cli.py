@@ -502,7 +502,9 @@ def test_bench_non_finite_density_exit_2(capsys, density):
      "density 1000000000000000.0 on 10 nodes exceeds the budget of 20000000 edges"),
     (["--nodes", "100", "--density", "3", "--max-size", "149"],
      "density 3.0 on 100 nodes exceeds the budget of 298 edges"),
-], ids=["overflow", "huge", "max-size"])
+    (["--nodes", str(MAX_NODES), "--max-size", str(10**40)],
+     f"density 2.0 on {MAX_NODES} nodes exceeds the bound of {MAX_NODES} edges"),
+], ids=["overflow", "huge", "max-size", "bound"])
 def test_bench_edge_count_over_budget_exits_4(capsys, argv, message):
     # refused before any edge is drawn
     assert run(capsys, "bench", *argv) == (4, "", f"error: {message}\n")
@@ -636,8 +638,8 @@ def test_quote_keeps_every_value_up_to_the_prefix_whole():
 
 @pytest.mark.parametrize("nodes", [MAX_NODES + 1, 10**30])
 def test_bench_refuses_nodes_beyond_the_packed_key_bound(capsys, nodes):
-    # refused before any edge is drawn, whatever the budget; a run at or below
-    # the bound with a raised budget would draw about 6e9 edges
+    # refused before any edge is drawn, whatever the budget; a run at the bound
+    # with a raised budget meets the edge bound (test_bench_edge_count_over_budget_exits_4)
     assert run(capsys, "bench", "--nodes", str(nodes), "--max-size", str(10**40)) == (
         4, "", f"error: {nodes} nodes exceeds the bound of {MAX_NODES}\n")
 
