@@ -16,8 +16,11 @@ the reference kernel.  A gain is claimed only when the change wins at least
 nine tenths of the pairs (ties count for neither), the sign test's p is
 below 0.05 (so at least five pairs), and the medians differ in its favour by
 more than the base's IQR; a metric whose median is worse than the base's by
-more than its bound is marked so.  No gain is claimed, and the exit status
-is 1, when a larger share of the change's checks fails than of the base's.
+more than its bound is marked so.  No gain is claimed when a larger share
+of the change's checks fails than of the base's.  The exit status is 1 when
+that share is larger or any end-to-end metric is marked worse than its
+bound, and 0 otherwise, so a change that claims no gain passes a workload
+exactly when its run exits 0.
 """
 
 from __future__ import annotations
@@ -123,9 +126,12 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs, base {args.base}, "
           f"{spec['run_seconds']:g} s per run{' (smoke)' if args.smoke else ''}")
     print(f"{'metric':16} {'base':>11} {'change':>11} {'base IQR':>10} {'W/L/T':>8} {'p':>7}  verdict")
+    worse = []
     for name, (better, bound) in metrics.items():
         row = compare([r["values"][name] for r in runs["base"]], [r["values"][name] for r in runs["change"]],
                       better, bound)
+        if row["worse_than_bound"]:
+            worse.append(name)
         verdict = ("claim" if row["claim"] and not failing else "no claim") + (
             ", worse than bound" if row["worse_than_bound"] else "")
         print(f"{name:16} {row['base_median']:11.5g} {row['change_median']:11.5g} {row['base_iqr']:10.3g} "
@@ -137,7 +143,9 @@ def main(argv=None) -> int:
               + " ".join(f"{r['values']['raw_pass_s']:.4g}" for r in runs[side]))
     if failing:
         print("a larger share of checks failed on the change than on the base: no gain is claimed")
-    return 1 if failing else 0
+    if worse:
+        print(f"worse than the bound on the change: {', '.join(worse)}")
+    return 1 if failing or worse else 0
 
 
 if __name__ == "__main__":

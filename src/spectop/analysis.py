@@ -150,7 +150,7 @@ def _row(leaf: SpaceExpr) -> tuple[Analysis, bool, bool, bool]:
         case Fin(p):
             occupied = len(p) > 0
             # no covers <=> an antichain <=> at most one peel layer
-            return (Analysis(occupied, True, True, occupied, True, p.rank()),
+            return (Analysis(occupied, True, True, occupied, True, Ordinal.from_int(p.rank_int())),
                     True, True, p.rank_int() <= 1)
         case Tower(rank):
             occupied = not rank.is_zero

@@ -197,6 +197,7 @@ def get_entry(name: str, n=None) -> RingEntry:
         return entry
     if name not in _FAMILIES:
         raise ValueError(f"{name!r} is not a family: n must be {OMEGA!r} or omitted, got {quote(n)}")
-    if not isinstance(n, int) or n < 0:
+    # a bool is an int to isinstance, but True is no count of axes
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a natural number or {OMEGA!r}, got {quote(n)}")
     return _FAMILIES[name](n)

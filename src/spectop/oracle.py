@@ -47,7 +47,7 @@ from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
                   normalize, print_expr)
 from .errors import SizeError
 from .gallery import catalog
-from .ordinal import parse_cnf
+from .ordinal import Ordinal, parse_cnf
 from .poset import FinitePoset, construct_poset, disjoint_union
 
 _PAIR_BUDGET = 4096 * 4096
@@ -642,7 +642,7 @@ def _check_corpus_laws(e, laws, rng, sample_confluence):
         laws.check("patch-obstruction-forces-ltg-failure", evaluate(e).ltg is Ltg.FAILS, expr=e)
     if isinstance(nf, Fin):
         p = nf.poset
-        agree = (a.cb_rank == p.rank()
+        agree = (a.cb_rank == Ordinal.from_int(p.rank_int())
                  and a.is_td and a.scattered
                  and a.nonempty == (len(p) > 0)
                  and a.has_isolated_point == (len(p) > 0))

@@ -12,14 +12,16 @@ every operation below is documented against this one.
 Representation
 --------------
 One representation at every size.  An instance holds its labels, its peel
-layers, its canonical covers, a table of each point's lower covers and
-one reachability index, and nothing else.  The constructor peels the
+order and rank, its canonical covers, a table of each point's lower covers
+and one reachability index, and nothing else.  The constructor peels the
 poset once, frontier by frontier (Kahn 1962): the frontiers are the
 Cantor-Bendixson layers, the first of them lists the minimal points, and
-their concatenation is a topological order.  A pair whose layers differ
-by exactly one is a cover, since a point strictly between would put its
-head two layers above its tail; when every input pair is one layer apart
-(chains, antichains, fans and their duals), the sorted pairs are the
+the peel order ``_peel`` is their concatenation, a topological order kept
+as one list; the rank ``_rank`` is their count.  No reader needs to know
+where a layer ends, so nothing else of them is kept.  A pair whose layers
+differ by exactly one is a cover, since a point strictly between would put
+its head two layers above its tail; when every input pair is one layer
+apart (chains, antichains, fans and their duals), the sorted pairs are the
 covers and nothing more is built.
 
 The index is built in one place, ``_reach``: a walk of the peel order
@@ -37,7 +39,7 @@ build the index: they read the lower-cover table, built from the covers
 on the first call of either.  A subset is open iff each of its points has
 its lower covers in it, which costs the subset's size plus the covers into
 it, and the height is a longest-path pass over the lower covers.  The
-rank, the covers and the exports read only the layers and covers.
+rank, the covers and the exports read only the peel and the covers.
 
 A subset query works on two masks built from its input labels: the
 subset's own bits and the OR of its points' up-sets.  The closure is
@@ -48,7 +50,7 @@ binary digits.  Numbering the bits from the top keeps masks short where
 up-sets are small: a fan, its dual and an antichain take memory linear in
 their size.
 
-Every instance sets the same eight attributes in the same order in its
+Every instance sets the same nine attributes in the same order in its
 constructor, the lazy ones as None, and never adds one later, so CPython
 keeps sharing one key layout across instances.  Labels are DSL
 identifiers, so every printed poset parses back.  Values do not change
@@ -65,7 +67,6 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import CycleError, EmptySpaceError, UnknownLabelError, quote
-from .ordinal import Ordinal
 
 # benchmark hook: ROADMAP 1(a)
 # No code path depends on this size.  The benchmark's traced ``verdicts`` pass
@@ -90,16 +91,17 @@ def _successors(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return succ
 
 
-def _backward_pass(layers: list[list[int]], succ: list[list[int]]):
+def _backward_pass(peel: list[int], succ: list[list[int]]):
     """Reachability bitsets and canonical covers in one pass over the peel
     order reversed: ``(order, bit, up, covers)``.
 
-    ``order`` lists the points top layer first and ``bit[v]`` is v's place
-    in it; bit k of ``up[i]`` is set iff i < ``order[k]``.  Taking a point's
-    successors in peel order, a successor is a cover exactly when no earlier
-    successor already reaches it.
+    ``order`` is ``peel`` reversed, so it lists the points top layer first,
+    and ``bit[v]`` is v's place in it; bit k of ``up[i]`` is set iff
+    i < ``order[k]``.  Taking a point's successors in peel order, a
+    successor is a cover exactly when no earlier successor already reaches
+    it.
     """
-    order = [v for layer in reversed(layers) for v in reversed(layer)]
+    order = peel[::-1]
     bit = [0] * len(order)
     for k, v in enumerate(order):
         bit[v] = k
@@ -150,26 +152,24 @@ class FinitePoset:
         for _, b in pairs:
             indeg[b] += 1
 
-        # one peel: frontier k holds the points removed by the k-th derivative;
-        # the first frontier lists the minimal points in element order
-        frontier = [v for v in range(n) if not indeg[v]]
-        layers: list[list[int]] = []
+        # one peel: the points in the order the derivatives remove them, the
+        # minimal points first in element order.  Layer k is whole once the
+        # walk reaches its start, since its points are freed from layer k - 1.
+        peel = [v for v in range(n) if not indeg[v]]
         layer_of = [0] * n
-        while frontier:
-            layers.append(frontier)
-            nxt = []
-            for v in frontier:
-                for w in succ[v]:
-                    indeg[w] -= 1
-                    if not indeg[w]:
-                        nxt.append(w)
-            for w in nxt:
-                layer_of[w] = len(layers)
-            frontier = nxt
-        if sum(map(len, layers)) != n:
+        rank = end = 0
+        for i, v in enumerate(peel):  # walks on over the points it appends
+            if i == end:
+                rank, end = rank + 1, len(peel)
+            for w in succ[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    layer_of[w] = rank
+                    peel.append(w)
+        if len(peel) != n:
             raise CycleError("covering relation contains a cycle")
 
-        self._layers = layers
+        self._peel, self._rank = peel, rank
         self._covers = self._below = self._order = self._bit = self._up = None
         # every pair climbs at least one layer, and one that climbs exactly one
         # is a cover: a point strictly between would put its head two layers
@@ -186,7 +186,7 @@ class FinitePoset:
         labels = self._labels
         if succ is None:
             succ = _successors(len(labels), self._covers)
-        order, self._bit, self._up, covers = _backward_pass(self._layers, succ)
+        order, self._bit, self._up, covers = _backward_pass(self._peel, succ)
         # last: whoever finds _order set finds the bitsets set too
         self._order = [labels[v] for v in order]
         return covers
@@ -278,29 +278,25 @@ class FinitePoset:
 
     def rank_int(self) -> int:
         """Least k with the k-th derivative empty (0 for the empty poset)."""
-        return len(self._layers)
-
-    def rank(self) -> Ordinal:
-        return Ordinal.from_int(self.rank_int())
+        return self._rank
 
     def height(self) -> int:
         """Longest chain, counted in edges; -1 for the empty poset.
 
         Computed by a longest-path pass over the lower covers, taking the
-        points layer by layer (a topological order): a point above the first
-        layer ends a chain one longer than the longest ending at one of its
-        lower covers.  It uses the peel's layers as an order but not their
-        count, so it checks ``rank_int`` independently.
+        points in peel order (a topological order): a point ends a chain one
+        longer than the longest ending at one of its lower covers, and a
+        minimal point, which has none, keeps 0.  It uses the peel as an order
+        but not the rank, so it checks ``rank_int`` independently.
         """
         below = self._lower() if self._below is None else self._below
         dist = [0] * len(self._labels)
-        for layer in self._layers[1:]:
-            for v in layer:
-                d = 0
-                for c in below[v]:
-                    if d <= dist[c]:
-                        d = dist[c] + 1
-                dist[v] = d
+        for v in self._peel:
+            d = 0
+            for c in below[v]:
+                if d <= dist[c]:
+                    d = dist[c] + 1
+            dist[v] = d
         return max(dist, default=-1)
 
     # -- duality -----------------------------------------------------------
@@ -336,7 +332,7 @@ class FinitePoset:
         """
         if not self._labels:
             raise EmptySpaceError("the empty space has no isolated point")
-        x = self._labels[self._layers[0][0]]
+        x = self._labels[self._peel[0]]
         u = frozenset([x])
         return x, u, self.td_witness(x)[0]
 
@@ -348,13 +344,13 @@ class FinitePoset:
         Every finite T_0 space is scattered: a nonempty subset has a minimal
         point, and a minimal point is isolated in it.  The constructor
         rejects cycles (``CycleError``), so the order is antisymmetric, the
-        space is T_0, and its peel layers (the successive derivatives) cover
+        space is T_0, and its peel (the successive derivatives) removes
         every point.  ``oracle.oracle_scattered`` checks this from the
         definition.
         """
         # benchmark hook: ROADMAP 1(a)
         # upset_budget is ignored; the benchmark's suite workload still passes it
-        return sum(map(len, self._layers)) == len(self._labels)
+        return len(self._peel) == len(self._labels)
 
     # -- serialization ---------------------------------------------------------
 

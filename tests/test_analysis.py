@@ -207,7 +207,7 @@ def test_analysis_on_duals_of_fins_matches_poset_algorithms(e):
     nf = normalize(Dual(e))
     if isinstance(nf, Fin):
         a = analyze(nf)
-        assert a.cb_rank == nf.poset.rank()
+        assert a.cb_rank == rank(nf.poset.rank_int())
         assert a.is_td and a.scattered
 
 

@@ -33,6 +33,10 @@ def test_fan_ring_rejects_bad_n():
         get_entry("fan", -1)
     with pytest.raises(ValueError):
         get_entry("fan", "three")
+    # bools are ints to Python, not naturals: no "x_True" axes, no "e_False"
+    for name, n in (("fan", True), ("idempotent", False)):
+        with pytest.raises(ValueError, match=rf"^n must be a natural number or 'omega', got {n}$"):
+            get_entry(name, n)
 
 
 def test_idempotent_ring_omega():

@@ -1,6 +1,7 @@
 """The statistics of scripts/paired_bench.py, on fixed numbers."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -78,3 +79,41 @@ def test_more_failed_checks_on_the_change_forbid_a_claim():
     assert not paired_bench.more_checks_fail([{"failed": 1, "attempted": 100}],
                                              [{"failed": 2, "attempted": 200}])
     assert not paired_bench.more_checks_fail([{"failed": 0, "attempted": 0}], [{"failed": 0, "attempted": 0}])
+
+
+with open(os.path.join(paired_bench.ROOT, "BENCHMARK.json")) as _handle:
+    _SPEC = json.load(_handle)
+
+
+def _run_main(monkeypatch, change_values, change_failed=0):
+    """``main`` over three pairs of runs that return fixed numbers: the base
+    reads 1.0 on every metric, the change reads ``change_values`` (1.0 for
+    any metric not named).  No git command and no benchmark run is made."""
+    metrics = [m["name"] for m in _SPEC["end_to_end"]] + ["raw_pass_s"]
+
+    def run_side(root, args, seconds):
+        change = root == paired_bench.ROOT
+        return {"values": {name: change_values.get(name, 1.0) if change else 1.0 for name in metrics},
+                "correct": True, "failed": change_failed if change else 0, "attempted": 100}
+
+    monkeypatch.setattr(paired_bench, "run_side", run_side)
+    monkeypatch.setattr(paired_bench.subprocess, "run", lambda *args, **kwargs: None)
+    return paired_bench.main(["--base", "HEAD", "--workload", "suite", "--pairs", "3"])
+
+
+def test_the_exit_status_is_1_exactly_when_a_metric_is_worse_than_its_bound(monkeypatch, capsys):
+    bounds = {m["name"]: m["bound"] for m in _SPEC["end_to_end"]}
+    assert _run_main(monkeypatch, {}) == 0
+    assert _run_main(monkeypatch, {"wall_s": 1 + bounds["wall_s"] * 0.8}) == 0
+    assert "worse than" not in capsys.readouterr().out
+    for name, bound in bounds.items():
+        assert _run_main(monkeypatch, {name: 1 + bound * 1.2}) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(f"worse than the bound on the change: {name}\n")
+    # a gain never fails a run, however large; raw_pass_s has no bound
+    assert _run_main(monkeypatch, {"wall_s": 0.1, "raw_pass_s": 5.0}) == 0
+
+
+def test_more_failed_checks_on_the_change_exit_1(monkeypatch, capsys):
+    assert _run_main(monkeypatch, {}, change_failed=1) == 1
+    assert "no gain is claimed" in capsys.readouterr().out

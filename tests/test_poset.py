@@ -9,9 +9,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, Ordinal,
-                     UnknownLabelError, construct_poset, disjoint_union, downset_topology, export,
-                     normalize, print_expr)
+from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, UnknownLabelError,
+                     construct_poset, disjoint_union, downset_topology, enumerate_labeled_posets,
+                     export, normalize, print_expr)
 
 from spectop.errors import QUOTE_PREFIX
 
@@ -94,7 +94,7 @@ def test_transitive_input_reduces_to_covers():
     assert with_shortcut.covers == (("a", "b"), ("b", "c"))
 
 
-_FIELDS = ["_labels", "_index", "_layers", "_covers", "_below", "_order", "_bit", "_up"]
+_FIELDS = ["_labels", "_index", "_peel", "_rank", "_covers", "_below", "_order", "_bit", "_up"]
 
 
 @given(posets(max_size=8), st.randoms(use_true_random=False))
@@ -353,9 +353,9 @@ def test_subset_queries_take_repeats_and_generators():
 
 
 def test_rank_examples():
-    assert fan(5).rank() == Ordinal.from_int(2)
-    assert chain("a", "b", "c").rank() == Ordinal.from_int(3)
-    assert construct_poset([], []).rank() == Ordinal.from_int(0)
+    assert fan(5).rank_int() == 2
+    assert chain("a", "b", "c").rank_int() == 3
+    assert construct_poset([], []).rank_int() == 0
 
 
 @given(posets())
@@ -364,6 +364,33 @@ def test_rank_is_height_plus_one(p):
         assert p.rank_int() == p.height() + 1
     else:
         assert p.rank_int() == 0 and p.height() == -1
+
+
+def _assert_peel_is_the_layers(p):
+    """``_peel`` is the Cantor-Bendixson layers laid end to end, each block
+    one layer as a set, the first listing the minimal points in element
+    order; ``rank_int`` is the number of layers."""
+    layers = cb_layers(p)
+    peel = [p.elements[v] for v in p._peel]
+    assert p.rank_int() == len(layers)
+    start = 0
+    for layer in layers:
+        assert frozenset(peel[start:start + len(layer)]) == layer
+        start += len(layer)
+    assert start == len(peel) == len(p)
+    if layers:
+        assert peel[:len(layers[0])] == [x for x in p.elements if x in layers[0]]
+
+
+@given(posets())
+def test_peel_is_the_layers_end_to_end(p):
+    _assert_peel_is_the_layers(p)
+
+
+def test_peel_is_the_layers_end_to_end_on_every_small_poset():
+    for n in range(5):
+        for p in enumerate_labeled_posets(n):
+            _assert_peel_is_the_layers(p)
 
 
 @given(posets(max_size=4), posets(max_size=4))
@@ -623,6 +650,34 @@ def test_wide_fan_builds_in_linear_memory():
     assert held < 3 * 2**20
 
 
+def _labelled(shape, n):
+    """A chain, a ladder (i < i + 2) or a fan on n points, its labels and
+    pairs made inside this call."""
+    if shape == "fan":
+        labels = [f"p{i}" for i in range(n - 1)] + ["m"]
+        return construct_poset(labels, [(x, "m") for x in labels[:-1]])
+    labels = [f"c{i}" for i in range(n)]
+    return construct_poset(labels, list(zip(labels, labels[1 if shape == "chain" else 2:])))
+
+
+@pytest.mark.parametrize("shape, bound", [("chain", 230), ("ladder", 230), ("fan", 260)])
+def test_retained_memory_per_point(shape, bound):
+    """The traced bytes a built poset keeps per point, counted from before its
+    labels and pairs are made, at 50k points.  With the peel kept as one
+    order and a rank it read 204.3 (chain and ladder) and 236.1 (fan); with a
+    list per layer, 292.3 and 243.8, over the bounds here, and the fan's two
+    layers the same 236.1."""
+    n = 50_000
+    tracemalloc.start()
+    try:
+        p = _labelled(shape, n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(p) == n and p.rank_int() == {"chain": n, "ladder": n // 2, "fan": 2}[shape]
+    assert held <= bound * n
+
+
 # -- covers by layer gap, reachability on first use ---------------------------------
 
 
@@ -635,7 +690,7 @@ def test_wide_fan_builds_in_linear_memory():
 def test_layered_posets_build_no_bitsets_for_a_verdict(build):
     p = build()
     assert p._up is None
-    p.rank()
+    p.rank_int()
     p.covers
     print_expr(Fin(p))
     q = normalize(Dual(Fin(p))).poset
@@ -693,7 +748,6 @@ _PUBLIC_CALLS = {
     "index": lambda p, x: p.index(x),
     "is_open": lambda p, x: p.is_open([x]),
     "isolated_in": lambda p, x: p.isolated_in([x]),
-    "rank": lambda p, x: p.rank(),
     "rank_int": lambda p, x: p.rank_int(),
     "scattered_via_closed_subsets": lambda p, x: p.scattered_via_closed_subsets(),
     "td_witness": lambda p, x: p.td_witness(x),

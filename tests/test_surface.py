@@ -11,7 +11,7 @@ from spectop import FinitePoset
 def test_finite_poset_public_names():
     assert sorted(name for name in dir(FinitePoset) if not name.startswith("_")) == [
         "closure", "covers", "derivative_in", "dual", "elements", "find_isolated", "from_json",
-        "height", "index", "is_open", "isolated_in", "rank", "rank_int",
+        "height", "index", "is_open", "isolated_in", "rank_int",
         "scattered_via_closed_subsets", "td_witness", "to_json", "to_json_dict",
     ]
 
