@@ -2,7 +2,7 @@
 """Paired benchmark runs: a base revision against this checkout.
 
 Usage: python scripts/paired_bench.py --base <rev> --workload <w> [--seed S]
-       [--pairs K] [--smoke]
+       [--pairs K] [--smoke] [--record FILE]
 
 The base revision is checked out with ``git worktree add`` into a temporary
 directory, which is removed at the end.  Each pair runs each side's own
@@ -21,6 +21,12 @@ of the change's checks fails than of the base's.  The exit status is 1 when
 that share is larger or any end-to-end metric is marked worse than its
 bound, and 0 otherwise, so a change that claims no gain passes a workload
 exactly when its run exits 0.
+
+``--record FILE`` also makes one traced run per side (``perfbench/run.py
+--trace 1``) and appends one entry to the JSON list in FILE (made if
+missing): the two revisions, the workload, seed and pair count, the
+machine, every metric's row as printed, and each side's per-layer metrics
+from its traced run, so the entry says which layer moved.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -77,17 +84,63 @@ def more_checks_fail(base: list[dict], change: list[dict]) -> bool:
     return share(change) > share(base)
 
 
-def run_side(root: str, args, seconds: float) -> dict:
-    """One run of ``root``'s own benchmark: its metrics, correctness and raw pass totals."""
+def run_perfbench(root: str, args, seconds: float, trace: int = 0) -> tuple[dict, dict]:
+    """One run of ``root``'s own benchmark: its record and its result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(seconds)] + (["--smoke"] if args.smoke else [])
+           "--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if args.smoke else [])
     done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     lines = done.stdout.strip().splitlines()
-    record, result = json.loads(lines[-2])["record"], json.loads(lines[-1])
+    return json.loads(lines[-2])["record"], json.loads(lines[-1])
+
+
+def run_side(root: str, args, seconds: float) -> dict:
+    """One untraced run: its metrics, correctness and raw pass totals."""
+    record, result = run_perfbench(root, args, seconds)
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
     values["raw_pass_s"] = statistics.median(record["pass_totals_s"])
     return {"values": values, "correct": result["correct"], "failed": result["failed"],
             "attempted": result["attempted"]}
+
+
+def traced_layers(root: str, args, seconds: float) -> dict:
+    """The per-layer metrics of one traced run."""
+    _, result = run_perfbench(root, args, seconds, trace=1)
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def revisions(base: str) -> tuple[str, str]:
+    """The commit ids of ``base`` and of this checkout's HEAD, the latter
+    with ``-dirty`` when ``src/`` or ``perfbench/``, which the runs read,
+    differ from it."""
+    def sha(rev):
+        return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                              check=True).stdout.strip()
+
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"], cwd=ROOT).returncode
+    return sha(base), sha("HEAD") + ("-dirty" if dirty else "")
+
+
+def record_entry(args, base: str, change: str, rows: dict, failing: bool, layers: dict) -> dict:
+    """One entry of a ``--record`` file: ``rows`` are ``compare``'s rows by
+    metric, ``layers`` each side's traced per-layer metrics."""
+    import numpy
+
+    return {"base": base, "change": change, "workload": args.workload, "seed": args.seed,
+            "pairs": args.pairs,
+            "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": numpy.__version__},
+            "metrics": rows, "more_checks_fail": failing, "per_layer": layers}
+
+
+def append_record(path: str, entry: dict) -> None:
+    entries = []
+    if os.path.exists(path):
+        with open(path) as handle:
+            entries = json.load(handle)
+    entries.append(entry)
+    with open(path, "w") as handle:
+        json.dump(entries, handle, indent=1)
+        handle.write("\n")
 
 
 def main(argv=None) -> int:
@@ -99,13 +152,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--smoke", action="store_true", help="the benchmark's tiny inputs")
+    parser.add_argument("--record", metavar="FILE", help="append this comparison to a JSON list in FILE")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.record and args.smoke:
+        parser.error("--record keeps full-length runs only, not --smoke")
 
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     metrics["raw_pass_s"] = ("lower", None)
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    layers = {}
     tmp = tempfile.mkdtemp(prefix="paired_bench_")
     base_root = os.path.join(tmp, "base")
     subprocess.run(["git", "worktree", "add", "--detach", base_root, args.base], cwd=ROOT, check=True,
@@ -118,6 +175,9 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): wall_s base "
                   f"{runs['base'][-1]['values']['wall_s']:.4g}, change {runs['change'][-1]['values']['wall_s']:.4g}",
                   file=sys.stderr)
+        if args.record:
+            layers = {side: traced_layers(base_root if side == "base" else ROOT, args, spec["run_seconds"])
+                      for side in ("base", "change")}
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", base_root], cwd=ROOT, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
@@ -127,9 +187,10 @@ def main(argv=None) -> int:
           f"{spec['run_seconds']:g} s per run{' (smoke)' if args.smoke else ''}")
     print(f"{'metric':16} {'base':>11} {'change':>11} {'base IQR':>10} {'W/L/T':>8} {'p':>7}  verdict")
     worse = []
+    rows = {}
     for name, (better, bound) in metrics.items():
-        row = compare([r["values"][name] for r in runs["base"]], [r["values"][name] for r in runs["change"]],
-                      better, bound)
+        row = rows[name] = compare([r["values"][name] for r in runs["base"]],
+                                   [r["values"][name] for r in runs["change"]], better, bound)
         if row["worse_than_bound"]:
             worse.append(name)
         verdict = ("claim" if row["claim"] and not failing else "no claim") + (
@@ -145,6 +206,8 @@ def main(argv=None) -> int:
         print("a larger share of checks failed on the change than on the base: no gain is claimed")
     if worse:
         print(f"worse than the bound on the change: {', '.join(worse)}")
+    if args.record:
+        append_record(args.record, record_entry(args, *revisions(args.base), rows, failing, layers))
     return 1 if failing or worse else 0
 
 

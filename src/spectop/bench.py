@@ -41,10 +41,10 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # peel holds node ids and edge offsets in int32, and the CSR packs each edge
 # into one int64 key, tail << 32 | head
 MAX_NODES = int(np.iinfo(np.int32).max)
-# run_bench draws at most this many random edges per node of its budget.  An
-# edge costs the peel about as much memory as a node (a few 32- and 64-bit
-# words), so the node budget bounds both; a run at the budget with the
-# default density of 2 is admitted.
+# run_bench takes at most this many edges per node of its budget, drawn at
+# random or given.  An edge costs the peel about as much memory as a node (a
+# few 32- and 64-bit words), so the node budget bounds both; a random run at
+# the budget with the default density of 2 is admitted.
 EDGES_PER_BUDGET_NODE = 2
 # A frontier with fewer nodes and fewer out-edges than this is peeled by
 # the scalar loop, where numpy's per-call overhead would dominate.
@@ -418,8 +418,13 @@ def run_bench(
     if nodes > MAX_NODES:
         raise SizeError(f"{quote(nodes)} nodes exceeds the bound of {MAX_NODES}")
     max_edges = EDGES_PER_BUDGET_NODE * node_budget
+    if edges is not None:
+        # tails that are not an array are left to _check_edges, which names them
+        given = edges[0].size if isinstance(edges[0], np.ndarray) else 0
+        if given > max_edges:
+            raise SizeError(f"{given} edges exceeds the budget of {quote(max_edges)} edges")
     # decided before random_dag allocates; a density it rejects is left to it
-    if edges is None and nodes >= 2 and math.isfinite(density):
+    elif nodes >= 2 and math.isfinite(density):
         if density * nodes > max_edges:
             raise SizeError(f"density {density} on {nodes} nodes exceeds the budget of {quote(max_edges)} edges")
         if density * nodes > MAX_NODES:

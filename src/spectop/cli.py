@@ -5,9 +5,10 @@ error, 3 metadata conflict, 4 resource refusal (size budgets, or memory
 running out; nesting depth alone is never refused).  ``--json`` switches
 every command to line-delimited JSON on stdout.
 
-``main`` is cheap to call repeatedly in one process: the argument parser is
-built on the first call and reused, so each later call pays only for its
-own request.
+``main`` is cheap to call repeatedly in one process: the parsers are built
+on the first call and reused, and a request that starts with a command name
+is parsed once, by that command's own parser, so each later call pays only
+for its own request.
 """
 
 from __future__ import annotations
@@ -221,10 +222,11 @@ def _cmd_bench(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on the first main() call and reused: parse_args returns a fresh
-    # Namespace each time, and argparse looks up sys.stdout, sys.stderr and
-    # the terminal width only when it prints
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser, and each command's own parser by its name.  Built
+    on the first main() call and reused: parse_args returns a fresh
+    Namespace each time, and argparse looks up sys.stdout, sys.stderr and
+    the terminal width only when it prints."""
     parser = argparse.ArgumentParser(
         prog="spectop",
         description="Topological analysis of spectral spaces: ranks, duals, patch topologies and derived-category verdicts.",
@@ -291,12 +293,24 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_bench)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command name first (no argument, help, an unknown or abbreviated
+        # name, an option before the name): the root parser's help or error
+        args = parser.parse_args(argv)
+    else:
+        # the one pass that the subparsers action makes after the root's;
+        # leftovers get the root's error, as they do after that pass
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except ConflictError as exc:

@@ -219,7 +219,7 @@ def print_expr(e: SpaceExpr) -> str:
             text += f"({node.rank})"
         elif isinstance(node, Fin):
             p = node.poset
-            text += "{" + ",".join(p.elements) + ";" + ",".join(f"{a}<{b}" for a, b in p.covers) + "}"
+            text += "{" + ",".join(p.elements) + ";" + ",".join(map("<".join, p.covers)) + "}"
         pieces.append(text)
     return "".join(pieces)
 

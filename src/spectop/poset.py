@@ -358,7 +358,8 @@ class FinitePoset:
         return {"labels": list(self._labels), "covers": [list(c) for c in self.covers]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        # json.dumps writes tuples as arrays, so no list is built per pair
+        return json.dumps({"labels": self._labels, "covers": self.covers})
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":

@@ -326,6 +326,16 @@ def test_edge_count_is_bounded_like_the_node_count(monkeypatch):
     assert run_bench(nodes, density=1.0, node_budget=nodes, verify=False).edges == nodes
 
 
+def test_given_edges_are_held_to_the_edge_budget():
+    """``EDGES_PER_BUDGET_NODE`` edges per budget node, given or drawn; more
+    are refused before the layering."""
+    assert bench.EDGES_PER_BUDGET_NODE == 2
+    tails, heads = np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64)
+    assert run_bench(2, node_budget=2, edges=(tails[:4], heads[:4])).edges == 4
+    with pytest.raises(SizeError, match="^5 edges exceeds the budget of 4 edges$"):
+        run_bench(2, node_budget=2, edges=(tails, heads))
+
+
 def test_unsigned_and_narrow_ids_are_read_as_int64():
     for dtype in (np.uint8, np.uint32, np.uint64, np.int16):
         tails, heads = np.array([0, 1, 0], dtype=dtype), np.array([1, 2, 2], dtype=dtype)

@@ -523,6 +523,16 @@ def test_bench_edge_file(tmp_path, capsys):
     assert lines[0]["rank"] == 3
 
 
+def test_bench_edge_file_over_the_edge_budget_exits_4(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n" * 50)
+    assert run(capsys, "bench", "--edges", str(path), "--max-size", "2") == (
+        4, "", "error: 50 edges exceeds the budget of 4 edges\n")
+    path.write_text("0 1\n" * 4)
+    code, lines, _ = run_json(capsys, "bench", "--edges", str(path), "--max-size", "2")
+    assert code == 0 and lines[0]["edges"] == 4
+
+
 @pytest.mark.parametrize("option,value", [("--nodes", "5"), ("--density", "9"), ("--seed", "3")])
 def test_bench_edge_file_refuses_random_dag_options_exit_2(tmp_path, capsys, option, value):
     path = tmp_path / "edges.txt"
@@ -671,6 +681,91 @@ def test_parser_is_built_once_for_many_calls(capsys, monkeypatch):
     capsys.readouterr()
     # the root parser and one per subcommand
     assert len(built) == 8
+
+
+def test_each_command_is_parsed_in_one_pass(capsys, monkeypatch):
+    """A request that starts with a command name goes straight to that
+    command's parser: one parse_known_args call, where the root parser's
+    pass and then its subparsers action made two."""
+    requests = {"eval": ["fan"], "verdict": ["fan"], "ring": [],
+                "oracle": ["--exhaustive-max", "-1", "--count", "0"],
+                "fuzz": ["--count", "2", "--max-size", "-4"], "export": ["fan", "--n", "2"],
+                "bench": ["--edges", "f", "--nodes", "3"]}
+    assert requests.keys() == cli._build_parser()[1].keys()
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for name, rest in requests.items():
+        calls.clear()
+        main([name, *rest])
+        assert calls == [f"spectop {name}"], name
+    capsys.readouterr()
+
+
+_USAGE = "usage: spectop [-h] {eval,verdict,ring,oracle,fuzz,export,bench} ...\n"
+_VERDICT_USAGE = ("usage: spectop verdict [-h] [--n N] [--absolutely-flat] [--gabriel] [--json]\n"
+                  "                       target\n")
+_ROOT_HELP = _USAGE + """
+Topological analysis of spectral spaces: ranks, duals, patch topologies and
+derived-category verdicts.
+
+positional arguments:
+  {eval,verdict,ring,oracle,fuzz,export,bench}
+    eval                normalize an expression and print its attributes
+    verdict             theorem-backed verdicts for a ring or expression
+    ring                browse the ring gallery
+    oracle              oracle-equivalence suite over small posets
+    fuzz                law suite over random posets and expressions
+    export              export a finite space as DOT or JSON
+    bench               large-scale layering benchmark
+
+options:
+  -h, --help            show this help message and exit
+"""
+_VERDICT_HELP = _VERDICT_USAGE + """
+positional arguments:
+  target             gallery name, space expression, or @file with poset JSON
+
+options:
+  -h, --help         show this help message and exit
+  --n N              a natural number for the fan and idempotent families, or
+                     'omega' (the default)
+  --absolutely-flat
+  --gabriel
+  --json             line-delimited JSON output
+"""
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    ([], 2, "", _USAGE + "spectop: error: the following arguments are required: command\n"),
+    (["--help"], 0, _ROOT_HELP, ""),
+    (["verd", "fan"], 2, "", _USAGE + "spectop: error: argument command: invalid choice: 'verd' "
+     "(choose from 'eval', 'verdict', 'ring', 'oracle', 'fuzz', 'export', 'bench')\n"),
+    (["--json", "verdict", "fan"], 2, "", _USAGE + "spectop: error: unrecognized arguments: --json\n"),
+    (["verdict", "fan", "--frobnicate"], 2, "",
+     _USAGE + "spectop: error: unrecognized arguments: --frobnicate\n"),
+    (["verdict", "fan", "--n"], 2, "",
+     _VERDICT_USAGE + "spectop verdict: error: argument --n: expected one argument\n"),
+    (["verdict"], 2, "", _VERDICT_USAGE + "spectop verdict: error: the following arguments are required: target\n"),
+    (["verdict", "-h"], 0, _VERDICT_HELP, ""),
+    (["bench", "--edges", "f", "--nodes", "3"], 2, "",
+     "error: --nodes applies only to a random DAG, not to --edges\n"),
+], ids=["nothing", "help", "abbreviated", "option-first", "unknown-option", "missing-value",
+        "missing-target", "command-help", "bench-options"])
+def test_usage_errors_and_help_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    """The text of the two-level argparse pass, whichever parser answers."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -85,10 +85,11 @@ with open(os.path.join(paired_bench.ROOT, "BENCHMARK.json")) as _handle:
     _SPEC = json.load(_handle)
 
 
-def _run_main(monkeypatch, change_values, change_failed=0):
+def _run_main(monkeypatch, change_values, change_failed=0, extra=()):
     """``main`` over three pairs of runs that return fixed numbers: the base
     reads 1.0 on every metric, the change reads ``change_values`` (1.0 for
-    any metric not named).  No git command and no benchmark run is made."""
+    any metric not named).  No git command and no benchmark run is made;
+    ``extra`` are further options."""
     metrics = [m["name"] for m in _SPEC["end_to_end"]] + ["raw_pass_s"]
 
     def run_side(root, args, seconds):
@@ -98,7 +99,7 @@ def _run_main(monkeypatch, change_values, change_failed=0):
 
     monkeypatch.setattr(paired_bench, "run_side", run_side)
     monkeypatch.setattr(paired_bench.subprocess, "run", lambda *args, **kwargs: None)
-    return paired_bench.main(["--base", "HEAD", "--workload", "suite", "--pairs", "3"])
+    return paired_bench.main(["--base", "HEAD", "--workload", "suite", "--pairs", "3", *extra])
 
 
 def test_the_exit_status_is_1_exactly_when_a_metric_is_worse_than_its_bound(monkeypatch, capsys):
@@ -117,3 +118,34 @@ def test_the_exit_status_is_1_exactly_when_a_metric_is_worse_than_its_bound(monk
 def test_more_failed_checks_on_the_change_exit_1(monkeypatch, capsys):
     assert _run_main(monkeypatch, {}, change_failed=1) == 1
     assert "no gain is claimed" in capsys.readouterr().out
+
+
+def test_record_appends_one_entry_per_run(monkeypatch, capsys, tmp_path):
+    layers = {"base": {"cli.self_s": 0.09, "dsl.parse_expr_s": 0.16},
+              "change": {"cli.self_s": 0.07, "dsl.parse_expr_s": 0.16}}
+    monkeypatch.setattr(paired_bench, "traced_layers",
+                        lambda root, args, seconds: layers["change" if root == paired_bench.ROOT else "base"])
+    monkeypatch.setattr(paired_bench, "revisions", lambda base: ("b" * 40, "c" * 40))
+    path = tmp_path / "BENCH_paired.json"
+    assert _run_main(monkeypatch, {"wall_s": 0.8}, extra=["--record", str(path)]) == 0
+    assert _run_main(monkeypatch, {}, change_failed=1, extra=["--record", str(path)]) == 1
+    capsys.readouterr()
+    first, second = json.loads(path.read_text())
+    assert first.keys() == {"base", "change", "workload", "seed", "pairs", "machine", "metrics",
+                            "more_checks_fail", "per_layer"}
+    assert (first["base"], first["change"], first["workload"], first["seed"], first["pairs"]) == (
+        "b" * 40, "c" * 40, "suite", 1, 3)
+    assert first["machine"].keys() == {"cores", "python", "numpy"}
+    assert first["per_layer"] == layers
+    # one row per printed metric, exactly as compare gives it
+    assert first["metrics"].keys() == {m["name"] for m in _SPEC["end_to_end"]} | {"raw_pass_s"}
+    assert first["metrics"]["wall_s"] == paired_bench.compare([1.0] * 3, [0.8] * 3, "lower", 0.25)
+    assert first["metrics"]["wall_s"]["wins"] == 3 and not first["more_checks_fail"]
+    assert second["more_checks_fail"] and second["metrics"]["wall_s"]["ties"] == 3
+
+
+def test_record_refuses_smoke_runs(monkeypatch, capsys, tmp_path):
+    with pytest.raises(SystemExit):
+        _run_main(monkeypatch, {}, extra=["--smoke", "--record", str(tmp_path / "x.json")])
+    assert "--smoke" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
