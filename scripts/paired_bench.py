@@ -4,8 +4,13 @@
 Usage: python scripts/paired_bench.py --base <rev> --workload <w> [--seed S]
        [--pairs K] [--smoke] [--record FILE]
 
-The base revision is checked out with ``git worktree add`` into a temporary
-directory, which is removed at the end.  Each pair runs each side's own
+Both sides run from fresh copies side by side in one temporary directory,
+which is removed at the end, so neither runs from a path or a set of
+bytecode caches of its own: ``base`` is a ``git worktree add`` of the base
+revision, and ``change`` one of HEAD whose ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` are then replaced by copies of this checkout's, so
+uncommitted and untracked files count (``__pycache__`` and
+``perfbench/results/`` are not copied).  Each pair runs each side's own
 ``perfbench/run.py`` once, with the same options and the run length of
 ``BENCHMARK.json``, and alternates which side goes first, so a bias towards
 the first or second run of a pair falls on both sides alike.  For each end-to-end metric of ``BENCHMARK.json`` it prints
@@ -108,6 +113,17 @@ def traced_layers(root: str, args, seconds: float) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def copy_checkout(dest: str) -> None:
+    """Replace the ``src/``, ``perfbench/`` and ``BENCHMARK.json`` of the
+    worktree ``dest`` with copies of this checkout's, less bytecode caches
+    and the ``results/`` that benchmark runs leave."""
+    for name in ("src", "perfbench"):
+        shutil.rmtree(os.path.join(dest, name), ignore_errors=True)
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=shutil.ignore_patterns("__pycache__", "results"))
+    shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), dest)
+
+
 def revisions(base: str) -> tuple[str, str]:
     """The commit ids of ``base`` and of this checkout's HEAD, the latter
     with ``-dirty`` when ``src/`` or ``perfbench/``, which the runs read,
@@ -164,22 +180,24 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     layers = {}
     tmp = tempfile.mkdtemp(prefix="paired_bench_")
-    base_root = os.path.join(tmp, "base")
-    subprocess.run(["git", "worktree", "add", "--detach", base_root, args.base], cwd=ROOT, check=True,
-                   stdout=subprocess.DEVNULL)
+    roots = {side: os.path.join(tmp, side) for side in ("base", "change")}
     try:
+        for side, rev in (("base", args.base), ("change", "HEAD")):
+            subprocess.run(["git", "worktree", "add", "--detach", roots[side], rev], cwd=ROOT, check=True,
+                           stdout=subprocess.DEVNULL)
+        copy_checkout(roots["change"])
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_side(base_root if side == "base" else ROOT, args, spec["run_seconds"]))
+                runs[side].append(run_side(roots[side], args, spec["run_seconds"]))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): wall_s base "
                   f"{runs['base'][-1]['values']['wall_s']:.4g}, change {runs['change'][-1]['values']['wall_s']:.4g}",
                   file=sys.stderr)
         if args.record:
-            layers = {side: traced_layers(base_root if side == "base" else ROOT, args, spec["run_seconds"])
-                      for side in ("base", "change")}
+            layers = {side: traced_layers(roots[side], args, spec["run_seconds"]) for side in roots}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_root], cwd=ROOT, check=False)
+        for root in roots.values():
+            subprocess.run(["git", "worktree", "remove", "--force", root], cwd=ROOT, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
 
     failing = more_checks_fail(runs["base"], runs["change"])

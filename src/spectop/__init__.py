@@ -9,7 +9,7 @@ the local-to-global principle and residue-field generation.
 
 from .analysis import (Analysis, FieldsGenerate, Ltg, RingMeta, Verdict,
                        analyze, evaluate)
-from .bench import BenchResult, cb_layering, longest_path_rank, run_bench
+from .bench import BenchResult, cb_layering, run_bench
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Cantor, CoFan, Con,
                   Dual, Fan, Fin, OmegaPlusOne, SpaceExpr, Sum, Tower,
                   is_normal, leaves, normalize, parse_expr, print_expr)

@@ -100,6 +100,8 @@ def random_dag(nodes: int, density: float, seed: int) -> tuple[np.ndarray, np.nd
         raise ValueError(f"density must be finite, got {density}")
     if density < 0:
         raise ValueError("density must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {quote(seed)}")
     rng = np.random.default_rng(seed)
     if nodes < 2:
         empty = np.empty(0, dtype=np.int64)

@@ -18,6 +18,8 @@ exactly one such triple.
 over exhaustively enumerated small posets, random larger posets, and a
 random expression corpus, and reports per-law case counts with a first
 counterexample serialized for replay, plus the seconds each block took.
+Two finite-space laws check recipes built here from the poset's public
+queries alone: ``td_witness`` and ``find_isolated``.
 A law hands its own inputs to the recorder by name (``poset=``,
 ``subset=``, ``expr=``, ...); only the first failing case's inputs are
 turned into JSON data.  The oracle blocks draw each poset's subsets as
@@ -36,6 +38,7 @@ case-by-case run.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -45,7 +48,7 @@ from .analysis import FieldsGenerate, Ltg, analyze, evaluate
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
                   Fin, OmegaPlusOne, Cantor, SpaceExpr, Sum, Tower, is_normal,
                   normalize, print_expr)
-from .errors import SizeError
+from .errors import EmptySpaceError, SizeError
 from .gallery import catalog
 from .ordinal import Ordinal, parse_cnf
 from .poset import FinitePoset, construct_poset, disjoint_union
@@ -511,7 +514,7 @@ def _as_json(value):
     """A law input as JSON data: a poset as its JSON object, an expression
     as its text, a set as a sorted list, a string or number as itself."""
     if isinstance(value, FinitePoset):
-        return value.to_json_dict()
+        return json.loads(value.to_json())
     if isinstance(value, SpaceExpr):
         return print_expr(value)
     if isinstance(value, (set, frozenset)):
@@ -591,6 +594,25 @@ def _check_poset_against_oracle(poset, laws, rank, rng, decode=None):
                poset.scattered_via_closed_subsets() == oracle_scattered(topo), poset=poset)
 
 
+def td_witness(poset: FinitePoset, x: str) -> tuple[frozenset[str], bool]:
+    """W = (X minus cl{x}) union {x}, the T_D witness of ``x``, and whether W
+    is open: always on a finite poset, but returned for the law to check."""
+    w = frozenset(poset.elements) - poset.closure([x]) | {x}
+    return w, poset.is_open(w)
+
+
+def find_isolated(poset: FinitePoset) -> tuple[str, frozenset[str], frozenset[str]]:
+    """Constructive isolated point (x, U, W), returned unchecked for the law
+    to check: x is the first minimal point in element order, isolated as the
+    minimal points form a discrete subspace; U = {x} is the smallest open set
+    holding x, and W is the T_D witness of x, so U * W = {x}."""
+    if not len(poset):
+        raise EmptySpaceError("the empty space has no isolated point")
+    minimal = poset.isolated_in(poset.elements)
+    x = next(y for y in poset.elements if y in minimal)
+    return x, frozenset([x]), td_witness(poset, x)[0]
+
+
 def _check_finite_space_laws(poset, previous, laws, rank):
     dual = poset.dual()
     laws.check("dual-involution", dual.dual() == poset, poset=poset)
@@ -604,10 +626,10 @@ def _check_finite_space_laws(poset, previous, laws, rank):
     laws.check("dual-scattered-via-closed-subsets", dual.scattered_via_closed_subsets(),
                poset=poset)
     for x in poset.elements:
-        _, open_flag = poset.td_witness(x)
+        _, open_flag = td_witness(poset, x)
         laws.check("td-witness-is-open", open_flag, poset=poset, point=x)
     if len(poset):
-        x, u, w = poset.find_isolated()
+        x, u, w = find_isolated(poset)
         ok = poset.is_open(u) and poset.is_open(w) and (u & w) == {x} and poset.is_open({x})
         laws.check("constructive-isolated-point", ok, poset=poset, point=x, u=u, w=w)
     laws.check("json-roundtrip", FinitePoset.from_json(poset.to_json()) == poset, poset=poset)

@@ -31,12 +31,12 @@ the point of bit k, whose label is ``_order[k]``) and keeps only the
 covering pairs of the successors it walks (transitive reduction,
 Aho-Garey-Ullman 1972).  The constructor calls it on the input pairs when
 one of them skips a layer, and keeps the covers it returns; otherwise the
-first subset query (``closure``, ``isolated_in``, ``derivative_in``,
-``td_witness``) calls it on the covers.  Either way the index is whole or
-absent, and equality, hashing, ``covers`` and the exports never depend on
-the size or on redundant input pairs.  ``is_open`` and ``height`` never
-build the index: they read the lower-cover table, built from the covers
-on the first call of either.  A subset is open iff each of its points has
+first subset query (``closure``, ``isolated_in``, ``derivative_in``) calls
+it on the covers.  Either way the index is whole or absent, and equality,
+hashing, ``covers`` and the exports never depend on the size or on
+redundant input pairs.  ``is_open`` and ``height`` never build the
+index: they read the lower-cover table, built from the covers on the
+first call of either.  A subset is open iff each of its points has
 its lower covers in it, which costs the subset's size plus the covers into
 it, and the height is a longest-path pass over the lower covers.  The
 rank, the covers and the exports read only the peel and the covers.
@@ -66,7 +66,7 @@ import re
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
-from .errors import CycleError, EmptySpaceError, UnknownLabelError, quote
+from .errors import CycleError, UnknownLabelError, quote
 
 # benchmark hook: ROADMAP 1(a)
 # No code path depends on this size.  The benchmark's traced ``verdicts`` pass
@@ -221,12 +221,6 @@ class FinitePoset:
         """Covering pairs (a, b) with a < b and nothing strictly between."""
         return tuple((self._labels[a], self._labels[b]) for a, b in self._covers)
 
-    def index(self, label: Label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownLabelError(f"unknown element {quote(label)}") from None
-
     def _masks(self, subset: Iterable[Label]) -> tuple[int, int]:
         """``subset`` as a bit mask, and the OR of its points' strict up-sets."""
         if self._order is None:
@@ -305,37 +299,6 @@ class FinitePoset:
         """The Hochster dual: same elements, reversed order."""
         return FinitePoset(self._labels, [(b, a) for a, b in self._covers])
 
-    # -- separation and isolation ------------------------------------------
-
-    def td_witness(self, x: Label) -> tuple[frozenset[Label], bool]:
-        """Return W = (X minus cl{x}) union {x} and whether W is open.
-
-        The flag is True for every point of every finite poset; it is
-        returned rather than asserted so the construction stays checkable.
-        """
-        i = self.index(x)
-        if self._order is None:
-            self._reach()
-        labels = self._decode(((1 << len(self._labels)) - 1) ^ self._up[i])
-        return labels, self.is_open(labels)
-
-    def find_isolated(self) -> tuple[Label, frozenset[Label], frozenset[Label]]:
-        """Constructive isolated point: (x, U, W) with U, W open and
-        U * W = {x}.
-
-        Replays the generic-point recipe: x is the first minimal element
-        in element order (minimal elements form a discrete subspace, so
-        any of them is isolated there), U is the smallest open set
-        containing x, which is {x} because x is minimal, and W is the
-        td_witness open of x.  The result is returned unchecked, so that the
-        ``constructive-isolated-point`` law of the suite can check it.
-        """
-        if not self._labels:
-            raise EmptySpaceError("the empty space has no isolated point")
-        x = self._labels[self._peel[0]]
-        u = frozenset([x])
-        return x, u, self.td_witness(x)[0]
-
     # -- scatteredness -------------------------------------------------------
 
     def scattered_via_closed_subsets(self, upset_budget: int | None = None) -> bool:
@@ -353,9 +316,6 @@ class FinitePoset:
         return len(self._peel) == len(self._labels)
 
     # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"labels": list(self._labels), "covers": [list(c) for c in self.covers]}
 
     def to_json(self) -> str:
         # json.dumps writes tuples as arrays, so no list is built per pair

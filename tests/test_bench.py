@@ -282,6 +282,12 @@ def test_edges_outside_the_contract_are_refused(tails, heads, message):
         run_bench(3, edges=(tails, heads))
 
 
+def test_random_dag_names_a_negative_seed():
+    # refused before numpy's generator, whose message names neither the seed nor its value
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        random_dag(5, 2.0, -1)
+
+
 def test_empty_and_negative_node_counts():
     with pytest.raises(ValueError, match=r"^node ids must lie in \[0, 0\), got 0$"):
         cb_layering(0, np.array([0]), np.array([0]))

@@ -489,6 +489,11 @@ def test_bench_has_no_threads_option(capsys, threads):
     assert captured.out == "" and "unrecognized arguments: --threads" in captured.err
 
 
+def test_bench_negative_seed_exit_2(capsys):
+    assert run(capsys, "bench", "--nodes", "5", "--seed", "-1") == (
+        2, "", "error: seed must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize("density", ["inf", "nan"])
 def test_bench_non_finite_density_exit_2(capsys, density):
     code, out, err = run(capsys, "bench", "--nodes", "10", "--density", density)

@@ -2,23 +2,31 @@ import dataclasses
 import random
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from spectop import (ExplicitTopology, FinitePoset, RingEntry, SizeError, SuiteConfig,
-                     count_posets_by_relation_filter, construct_poset,
+from spectop import (EmptySpaceError, ExplicitTopology, FinitePoset, RingEntry, SizeError,
+                     SuiteConfig, UnknownLabelError, count_posets_by_relation_filter,
+                     construct_poset,
                      downset_topology, enumerate_labeled_posets, normalize,
                      oracle_rank, oracle_scattered, parse_expr, random_expr,
                      random_poset, run_property_suite)
 from spectop.oracle import (_LETTERS, LAW_MAX_SIZE, _check_poset_against_oracle,
                             _closure_mask, _isolated_mask, _LabelSets, _Laws, _rank_fn,
-                            _subset_pool, rewrite_measure, rewrite_random_order)
+                            _subset_pool, find_isolated, rewrite_measure,
+                            rewrite_random_order, td_witness)
 
 from conftest import leq, posets, space_exprs
 
 
 def chain(*labels):
     return construct_poset(list(labels), list(zip(labels, labels[1:])))
+
+
+def fan(n=2):
+    labels = [f"p{i}" for i in range(1, n + 1)] + ["m"]
+    return construct_poset(labels, [(f"p{i}", "m") for i in range(1, n + 1)])
 
 
 def all_subsets(labels):
@@ -179,7 +187,7 @@ def _check_case_by_case(poset, laws, rank, rng):
 def _corrupted():
     p = construct_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
     assert p.closure(["a"]) == {"a", "b", "c"}  # builds the up-set bitsets
-    p._up[p.index("a")] |= 1 << p._bit[p.index("d")]
+    p._up[p._index["a"]] |= 1 << p._bit[p._index["d"]]
     return p
 
 
@@ -204,6 +212,117 @@ def test_per_poset_tally_records_what_case_by_case_checks_record(posets, mutate,
         runs.append((laws.results(), rng.getstate()))
     assert runs[0] == runs[1]
     assert sum(law.failures for law in runs[0][0]) == failures
+
+
+# -- the T_D-witness and isolated-point recipes the finite-space laws check ------------
+
+
+def test_td_witness_examples():
+    p = fan(2)
+    w, ok = td_witness(p, "p1")
+    assert w == {"p1", "p2"} and ok
+    w, ok = td_witness(p, "m")
+    assert w == {"p1", "p2", "m"} and ok
+    anti = construct_poset(["a", "b"], [])
+    w, ok = td_witness(anti, "a")
+    assert w == {"a", "b"} and ok
+
+
+@given(posets())
+def test_td_witness_always_open(p):
+    for x in p.elements:
+        w, ok = td_witness(p, x)
+        assert ok
+        assert x in w
+
+
+def test_td_witness_unknown_point():
+    with pytest.raises(UnknownLabelError, match="^unknown element 'zz'$"):
+        td_witness(fan(2), "zz")
+
+
+def test_find_isolated_examples():
+    x, u, w = find_isolated(fan(2))
+    assert x == "p1" and u == {"p1"} and w == {"p1", "p2"}
+    x, u, w = find_isolated(chain("a", "b", "c"))
+    assert x == "a" and u == {"a"} and u & w == {"a"}
+    s = construct_poset(["a"], [])
+    assert find_isolated(s) == ("a", {"a"}, {"a"})
+
+
+def test_find_isolated_empty_space():
+    with pytest.raises(EmptySpaceError):
+        find_isolated(construct_poset([], []))
+
+
+@given(posets())
+def test_find_isolated_witness_laws(p):
+    if not len(p):
+        return
+    x, u, w = find_isolated(p)
+    assert p.is_open(u) and p.is_open(w)
+    assert u & w == {x}
+    assert p.is_open({x})
+
+
+def test_find_isolated_tie_break_uses_element_order():
+    p = construct_poset(["z", "a", "m"], [("z", "m"), ("a", "m")])
+    x, _, _ = find_isolated(p)
+    assert x == "z"
+
+
+def _assert_recipes_match_leq(p, points):
+    """``td_witness`` and ``find_isolated`` against their definitions in
+    terms of ``leq`` alone."""
+    els, le = p.elements, leq(p)
+    for x in points:
+        assert td_witness(p, x) == (frozenset(y for y in els if y == x or not le(x, y)), True)
+    if els:
+        # the first point in element order that no other point lies below;
+        # trying the found point first keeps the scan short on a dual fan
+        x, u, w = find_isolated(p)
+        below_first = (x, *els)
+        assert not any(y != x and le(y, x) for y in els)
+        assert all(any(z != y and le(z, y) for z in below_first) for y in els[:els.index(x)])
+        assert u == {x} and w == td_witness(p, x)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_poset(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "c"), ("e", "f")]),
+    lambda: construct_poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("e", "d")]),
+    lambda: chain(*"abcdef"),
+    lambda: fan(4),
+    lambda: fan(4).dual(),
+    lambda: construct_poset(list("abcd"), []),
+    lambda: construct_poset(list("abcdef"), [(x, y) for x in "abc" for y in "def"]),
+    lambda: construct_poset([], []),
+], ids=["skip", "long-skip", "chain", "fan", "dual_fan", "antichain", "bipartite", "empty"])
+def test_recipes_match_leq(build):
+    p = build()
+    _assert_recipes_match_leq(p, p.elements)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fan", "dual_fan"])
+def test_recipes_match_leq_on_a_30000_point_fan(dual):
+    # far above CLOSURE_LIMIT, which no code path reads
+    p = fan(30000).dual() if dual else fan(30000)
+    _assert_recipes_match_leq(p, ["m", "p1", "p30000"])
+    assert find_isolated(p)[:2] == (("m", {"m"}) if dual else ("p1", {"p1"}))
+
+
+@given(posets(max_size=8), st.randoms(use_true_random=False))
+def test_recipes_ignore_redundant_input_pairs(p, rng):
+    # built from its covers, from every comparable pair, and from those pairs
+    # shuffled with repeats; each build answers its first query lazily or not
+    els, le = p.elements, leq(p)
+    comparable = [(a, b) for a in els for b in els if a != b and le(a, b)]
+    noisy = comparable + rng.sample(comparable, len(comparable) // 2)
+    rng.shuffle(noisy)
+    for r in [construct_poset(els, pairs) for pairs in (p.covers, comparable, noisy)]:
+        for x in els:
+            assert td_witness(r, x) == td_witness(p, x)
+        if len(p):
+            assert find_isolated(r) == find_isolated(p)
 
 
 # -- generators ---------------------------------------------------------------------
@@ -448,23 +567,20 @@ def test_rank_counterexample_names_the_rank():
 
 
 def test_td_witness_counterexample_names_the_point(monkeypatch):
-    td_witness = FinitePoset.td_witness
     # a flag that is wrong on every point that is not minimal, so find_isolated,
     # which asks only about a minimal point, still works
-    monkeypatch.setattr(FinitePoset, "td_witness",
-                        lambda self, x: (td_witness(self, x)[0], self.is_open({x})))
+    monkeypatch.setattr("spectop.oracle.td_witness",
+                        lambda poset, x: (td_witness(poset, x)[0], poset.is_open({x})))
     assert _counterexamples(law_random_count=4, law_random_size=3) == {"td-witness-is-open": {
         "poset": {"labels": ["v0", "v1", "v2"], "covers": [["v1", "v2"]]}, "point": "v2"}}
 
 
 def test_isolated_point_counterexample_lists_its_opens(monkeypatch):
-    find_isolated = FinitePoset.find_isolated
+    def whole_space(poset):
+        x, _, _ = find_isolated(poset)
+        return x, frozenset(poset.elements), frozenset(poset.elements)
 
-    def whole_space(self):
-        x, _, _ = find_isolated(self)
-        return x, frozenset(self.elements), frozenset(self.elements)
-
-    monkeypatch.setattr(FinitePoset, "find_isolated", whole_space)
+    monkeypatch.setattr("spectop.oracle.find_isolated", whole_space)
     everything = ["v0", "v1", "v2"]
     assert _counterexamples(law_random_count=5, law_random_size=3) == {"constructive-isolated-point": {
         "poset": {"labels": everything, "covers": []}, "point": "v0", "u": everything, "w": everything}}

@@ -93,7 +93,7 @@ def _run_main(monkeypatch, change_values, change_failed=0, extra=()):
     metrics = [m["name"] for m in _SPEC["end_to_end"]] + ["raw_pass_s"]
 
     def run_side(root, args, seconds):
-        change = root == paired_bench.ROOT
+        change = os.path.basename(root) == "change"
         return {"values": {name: change_values.get(name, 1.0) if change else 1.0 for name in metrics},
                 "correct": True, "failed": change_failed if change else 0, "attempted": 100}
 
@@ -124,7 +124,7 @@ def test_record_appends_one_entry_per_run(monkeypatch, capsys, tmp_path):
     layers = {"base": {"cli.self_s": 0.09, "dsl.parse_expr_s": 0.16},
               "change": {"cli.self_s": 0.07, "dsl.parse_expr_s": 0.16}}
     monkeypatch.setattr(paired_bench, "traced_layers",
-                        lambda root, args, seconds: layers["change" if root == paired_bench.ROOT else "base"])
+                        lambda root, args, seconds: layers[os.path.basename(root)])
     monkeypatch.setattr(paired_bench, "revisions", lambda base: ("b" * 40, "c" * 40))
     path = tmp_path / "BENCH_paired.json"
     assert _run_main(monkeypatch, {"wall_s": 0.8}, extra=["--record", str(path)]) == 0
@@ -149,3 +149,54 @@ def test_record_refuses_smoke_runs(monkeypatch, capsys, tmp_path):
         _run_main(monkeypatch, {}, extra=["--smoke", "--record", str(tmp_path / "x.json")])
     assert "--smoke" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_both_sides_run_from_fresh_copies_in_one_temp_dir(monkeypatch, capsys, tmp_path):
+    """The base is a worktree of its revision and the change a worktree of
+    HEAD overlaid with the checkout's src/, perfbench/ and BENCHMARK.json,
+    untracked files included and caches and results left out; both lie in
+    the one temporary directory, traced runs too, and are removed after."""
+    checkout = tmp_path / "checkout"
+    for path, text in (("src/pkg/untracked.py", "x = 1\n"), ("src/pkg/__pycache__/untracked.pyc", ""),
+                       ("perfbench/run.py", ""), ("perfbench/results/trace.json", "{}"),
+                       ("BENCHMARK.json", json.dumps(_SPEC))):
+        (checkout / path).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / path).write_text(text)
+    temp = tmp_path / "temp"
+    monkeypatch.setattr(paired_bench, "ROOT", str(checkout))
+    monkeypatch.setattr(paired_bench.tempfile, "mkdtemp", lambda prefix: str(temp))
+    git = []
+
+    def fake_git(cmd, cwd, **kwargs):
+        git.append(cmd[1:4] + cmd[5:])
+        assert cwd == str(checkout)
+        if cmd[1:3] == ["worktree", "add"]:
+            # HEAD's copy of a file that the checkout has since deleted
+            (temp / os.path.basename(cmd[4]) / "src" / "pkg").mkdir(parents=True)
+            (temp / os.path.basename(cmd[4]) / "src" / "pkg" / "deleted.py").write_text("")
+
+    seen = []
+
+    def run_side(root, args, seconds):
+        seen.append(root)
+        files = {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+        if os.path.basename(root) == "change":
+            assert files == {"src/pkg/untracked.py", "perfbench/run.py", "BENCHMARK.json"}
+        else:
+            assert files == {"src/pkg/deleted.py"}
+        return {"values": {name: 1.0 for name in ("raw_pass_s", *(m["name"] for m in _SPEC["end_to_end"]))},
+                "correct": True, "failed": 0, "attempted": 100}
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake_git)
+    monkeypatch.setattr(paired_bench, "run_side", run_side)
+    monkeypatch.setattr(paired_bench, "traced_layers", lambda root, args, seconds: seen.append(root) or {})
+    monkeypatch.setattr(paired_bench, "revisions", lambda base: ("b" * 40, "c" * 40))
+    record = tmp_path / "record.json"
+    assert paired_bench.main(["--base", "abc123", "--workload", "suite", "--pairs", "2",
+                              "--record", str(record)]) == 0
+    capsys.readouterr()
+    roots = [str(temp / "base"), str(temp / "change")]
+    assert seen == roots + roots[::-1] + roots
+    assert str(checkout) not in seen and not temp.exists()
+    assert git == [["worktree", "add", "--detach", "abc123"], ["worktree", "add", "--detach", "HEAD"],
+                   ["worktree", "remove", "--force"], ["worktree", "remove", "--force"]]

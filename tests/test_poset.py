@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from spectop import (CycleError, Dual, EmptySpaceError, Fin, FinitePoset, UnknownLabelError,
+from spectop import (CycleError, Dual, Fin, FinitePoset, UnknownLabelError,
                      construct_poset, disjoint_union, downset_topology, enumerate_labeled_posets,
                      export, normalize, print_expr)
 
@@ -110,15 +110,11 @@ def test_redundant_input_pairs_change_nothing(p, rng):
         assert r == p and hash(r) == hash(p) and r.covers == p.covers
         assert list(vars(r)) == _FIELDS
     for r in builds:
-        for x in els:
-            assert r.td_witness(x) == p.td_witness(x)
         for mask in range(1 << len(p)):
             s = {x for i, x in enumerate(els) if mask >> i & 1}
             for method in ("is_open", "closure", "isolated_in", "derivative_in"):
                 assert getattr(r, method)(s) == getattr(p, method)(s)
         assert r.height() == p.height() and cb_layers(r) == cb_layers(p)
-        if len(p):
-            assert r.find_isolated() == p.find_isolated()
         assert list(vars(r)) == _FIELDS
 
 
@@ -231,7 +227,7 @@ def test_long_labels_are_quoted_by_a_bounded_prefix():
     long = "z" * 5000
     clipped = repr("z" * QUOTE_PREFIX) + "..."
     p = chain("a", "b")
-    for call in (lambda: p.index(long), lambda: p.isolated_in({long}),
+    for call in (lambda: p.isolated_in({long}),
                  lambda: construct_poset(["a"], [("a", long)])):
         with pytest.raises(UnknownLabelError) as raised:
             call()
@@ -269,9 +265,9 @@ def test_isolated_in_subspace_is_minimal_in_induced_order():
     assert p.isolated_in(sub) == minimal
 
 
-def _assert_queries_match_leq(p, subsets, points):
-    """``closure``, ``isolated_in``, ``derivative_in``, ``td_witness`` and
-    ``find_isolated`` against their definitions in terms of ``leq`` alone."""
+def _assert_queries_match_leq(p, subsets):
+    """``closure``, ``isolated_in`` and ``derivative_in`` against their
+    definitions in terms of ``leq`` alone."""
     els, le = p.elements, leq(p)
     for subset in subsets:
         s = frozenset(subset)
@@ -282,16 +278,6 @@ def _assert_queries_match_leq(p, subsets, points):
             assert p.closure(kind(subset)) == closure
             assert p.isolated_in(kind(subset)) == isolated
             assert p.derivative_in(kind(subset)) == s - isolated
-    for x in points:
-        assert p.td_witness(x) == (frozenset(y for y in els if y == x or not le(x, y)), True)
-    if els:
-        # the first point in element order that no other point lies below;
-        # trying the found point first keeps the scan short on a dual fan
-        x, u, w = p.find_isolated()
-        below_first = (x, *els)
-        assert not any(y != x and le(y, x) for y in els)
-        assert all(any(z != y and le(z, y) for z in below_first) for y in els[:els.index(x)])
-        assert u == {x} and w == p.td_witness(x)[0]
 
 
 def _small_subsets(p):
@@ -307,7 +293,7 @@ def _small_subsets(p):
 def test_mask_queries_match_leq_when_bitsets_are_built_eagerly(build):
     p = build()
     assert p._up is not None
-    _assert_queries_match_leq(p, _small_subsets(p), p.elements)
+    _assert_queries_match_leq(p, _small_subsets(p))
 
 
 @pytest.mark.parametrize("build", [
@@ -321,7 +307,7 @@ def test_mask_queries_match_leq_when_bitsets_are_built_eagerly(build):
 def test_mask_queries_match_leq_when_bitsets_are_built_lazily(build):
     p = build()
     assert p._up is None
-    _assert_queries_match_leq(p, _small_subsets(p), p.elements)
+    _assert_queries_match_leq(p, _small_subsets(p))
     assert p._up is not None
 
 
@@ -331,7 +317,7 @@ def test_mask_queries_match_leq_on_a_30000_point_fan(dual):
     assert p._up is None
     subsets = [["m"], ["p1"], ["p1", "p2", "m"], ["p7", "p7", "m", "p7"],
                ["p30000", "p15000"], [], ["p3", "m", "p3"]]
-    _assert_queries_match_leq(p, subsets, ["m", "p1", "p30000"])
+    _assert_queries_match_leq(p, subsets)
     whole = frozenset(p.elements)
     generic = whole - {"m"} if not dual else frozenset(["m"])
     assert p.closure(whole) == whole
@@ -454,33 +440,6 @@ def test_dual_singleton():
     assert s.dual() == s
 
 
-# -- separation witnesses ----------------------------------------------------------
-
-
-def test_td_witness_examples():
-    p = fan(2)
-    w, ok = p.td_witness("p1")
-    assert w == {"p1", "p2"} and ok
-    w, ok = p.td_witness("m")
-    assert w == {"p1", "p2", "m"} and ok
-    anti = construct_poset(["a", "b"], [])
-    w, ok = anti.td_witness("a")
-    assert w == {"a", "b"} and ok
-
-
-@given(posets())
-def test_td_witness_always_open(p):
-    for x in p.elements:
-        w, ok = p.td_witness(x)
-        assert ok
-        assert x in w
-
-
-def test_td_witness_unknown_point():
-    with pytest.raises(UnknownLabelError):
-        fan(2).td_witness("zz")
-
-
 # -- scatteredness -------------------------------------------------------------------
 
 
@@ -488,39 +447,6 @@ def test_scattered_examples():
     assert fan(4).scattered_via_closed_subsets()
     assert construct_poset([], []).scattered_via_closed_subsets()
     assert chain("a", "b", "c").scattered_via_closed_subsets()
-
-
-# -- constructive isolated point --------------------------------------------------------
-
-
-def test_find_isolated_examples():
-    x, u, w = fan(2).find_isolated()
-    assert x == "p1" and u == {"p1"} and w == {"p1", "p2"}
-    x, u, w = chain("a", "b", "c").find_isolated()
-    assert x == "a" and u == {"a"} and u & w == {"a"}
-    s = construct_poset(["a"], [])
-    assert s.find_isolated() == ("a", {"a"}, {"a"})
-
-
-def test_find_isolated_empty_space():
-    with pytest.raises(EmptySpaceError):
-        construct_poset([], []).find_isolated()
-
-
-@given(posets())
-def test_find_isolated_witness_laws(p):
-    if not len(p):
-        return
-    x, u, w = p.find_isolated()
-    assert p.is_open(u) and p.is_open(w)
-    assert u & w == {x}
-    assert p.is_open({x})
-
-
-def test_find_isolated_tie_break_uses_element_order():
-    p = construct_poset(["z", "a", "m"], [("z", "m"), ("a", "m")])
-    x, _, _ = p.find_isolated()
-    assert x == "z"
 
 
 # -- export ------------------------------------------------------------------------------
@@ -563,8 +489,6 @@ def test_large_mode_matches_small_mode_semantics():
     assert big.closure({"p3"}) == {"p3", "m"}
     assert big.isolated_in({"p1", "p2", "m"}) == {"p1", "p2"}
     assert big.dual().rank_int() == 2
-    x, u, w = big.find_isolated()
-    assert x == "p0" and u == {"p0"}
     assert big.scattered_via_closed_subsets(upset_budget=16)
 
 
@@ -742,17 +666,13 @@ _PUBLIC_CALLS = {
     "derivative_in": lambda p, x: p.derivative_in([x]),
     "dual": lambda p, x: p.dual(),
     "elements": lambda p, x: p.elements,
-    "find_isolated": lambda p, x: p.find_isolated(),
     "from_json": lambda p, x: FinitePoset.from_json(p.to_json()),
     "height": lambda p, x: p.height(),
-    "index": lambda p, x: p.index(x),
     "is_open": lambda p, x: p.is_open([x]),
     "isolated_in": lambda p, x: p.isolated_in([x]),
     "rank_int": lambda p, x: p.rank_int(),
     "scattered_via_closed_subsets": lambda p, x: p.scattered_via_closed_subsets(),
-    "td_witness": lambda p, x: p.td_witness(x),
     "to_json": lambda p, x: p.to_json(),
-    "to_json_dict": lambda p, x: p.to_json_dict(),
 }
 
 
@@ -768,7 +688,7 @@ def test_eager_and_lazy_builds_end_with_one_index(seed):
     eager = FinitePoset(labels, edges)
     assert eager._covers == tuple(covers) and len(covers) < len(edges)
     assert sorted(_PUBLIC_CALLS) == [name for name in dir(FinitePoset) if not name.startswith("_")]
-    builds_index = {"closure", "derivative_in", "find_isolated", "isolated_in", "td_witness"}
+    builds_index = {"closure", "derivative_in", "isolated_in"}
     for name, call in _PUBLIC_CALLS.items():
         lazy = FinitePoset(labels, covers)
         assert _index_of(lazy) is None

@@ -10,9 +10,8 @@ from spectop import FinitePoset
 
 def test_finite_poset_public_names():
     assert sorted(name for name in dir(FinitePoset) if not name.startswith("_")) == [
-        "closure", "covers", "derivative_in", "dual", "elements", "find_isolated", "from_json",
-        "height", "index", "is_open", "isolated_in", "rank_int",
-        "scattered_via_closed_subsets", "td_witness", "to_json", "to_json_dict",
+        "closure", "covers", "derivative_in", "dual", "elements", "from_json", "height",
+        "is_open", "isolated_in", "rank_int", "scattered_via_closed_subsets", "to_json",
     ]
 
 
@@ -28,7 +27,7 @@ def test_package_public_names():
         "ZERO", "analyze", "catalog", "cb_layering", "construct_poset",
         "count_posets_by_relation_filter", "disjoint_union", "downset_topology",
         "enumerate_labeled_posets", "evaluate", "export", "get_entry", "is_normal", "leaves",
-        "longest_path_rank", "normalize", "oracle_rank", "oracle_scattered", "parse_cnf",
+        "normalize", "oracle_rank", "oracle_scattered", "parse_cnf",
         "parse_expr", "print_expr", "random_expr", "random_poset", "run_bench",
         "run_property_suite",
     ]
