@@ -16,16 +16,16 @@ the peel: ``layer`` is the longest-path layering exactly when it is 0 on
 sources and ``1 + max(layer[preds])`` elsewhere, which also proves the
 graph acyclic, since layers strictly increase along every edge.
 
-Edge lists arrive as "u v" text.  Text in a plain grammar (ASCII ids,
-blanks and whole-line comments, no float syntax) is read by one
-``np.loadtxt`` call after a guard of ``str``/``bytes`` methods; any other
-text goes to a line loop, the only reader that raises, so every error
-names its line.
+Edge lists arrive as "u v" text.  Text in a plain grammar (unsigned
+ASCII digit ids, blanks and whole-line comments) is read in two passes
+over its bytes: one keeps a byte per id and per line end and checks that
+each line holds zero or two ids, then one ``np.fromstring`` call reads
+the ids.  Any other text, signed ids included, goes to a line loop, the
+only reader that raises, so every error names its line.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import sys
@@ -54,7 +54,7 @@ THIN_FRONTIER = 64
 INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 # what _load_ids admits on a comment line, and on every other line
 _COMMENT_BYTES = bytes(range(32, 127)) + b"\t\r\n"
-_ID_BYTES = b"0123456789+- \t\r\n"
+_ID_BYTES = b"0123456789 \t\r\n"
 
 
 @dataclass(frozen=True)
@@ -325,49 +325,74 @@ def read_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _load_ids(text: str) -> np.ndarray | None:
-    r"""The ids of ``text`` as an ``(m, 2)`` int64 array, read by one
-    ``np.loadtxt`` call, for text in the plain grammar: ASCII; "\r" only
-    in "\r\n"; "#" only as the first non-blank character of a line, whose
-    comment holds only printable characters and tabs; every other line
-    only digits, "+", "-", spaces and tabs.  None for any other text, and
-    for text that ``loadtxt`` refuses or that holds a negative id, which
+    r"""The ids of ``text`` as an ``(m, 2)`` int64 array, for text in the
+    plain grammar: ASCII; "\r" only in "\r\n"; "#" only as the first
+    non-blank character of a line, whose comment holds only printable
+    characters and tabs; every other line zero or two runs of digits
+    among spaces and tabs.  None for any other text, signed ids included,
+    and for an id that ``int`` or int64 cannot hold, which
     :func:`_read_lines` then reads, so that only the line loop ever raises.
-    The grammar leaves ``loadtxt`` no float syntax to read as an integer,
-    which numpy releases do differently."""
+
+    :func:`_count_ids` keeps a byte per event, an id's first digit or a
+    line end, and checks the ids of each line; ``np.fromstring`` then reads
+    each digit run as one id into an array allocated once."""
     if not (isinstance(text, str) and text.isascii()):
         return None
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
-    pieces, end = [], 0
-    at = text.find("#")
+    data = text.encode()
+    view, pieces, end = memoryview(data), [], 0
+    at = data.find(b"#")
     while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        stop = text.find("\n", at) + 1 or len(text)
-        if text[start:at].strip(" \t") or text[at:stop].encode().translate(None, _COMMENT_BYTES):
+        start = data.rfind(b"\n", 0, at) + 1
+        stop = data.find(b"\n", at) + 1 or len(data)
+        if data[start:at].strip(b" \t") or data[at:stop].translate(None, _COMMENT_BYTES):
             return None
-        pieces.append(text[end:start])
+        pieces.append(view[end:start])
         end = stop
-        at = text.find("#", end)
-    pieces.append(text[end:])
-    data = "".join(pieces).encode()
+        at = data.find(b"#", end)
+    if pieces:
+        # views, so that the text is copied once more, not twice
+        data = b"".join(pieces + [view[end:]])
+    del view, pieces
     if data.translate(None, _ID_BYTES):
         return None
-    if not data or data.isspace():
-        return np.empty((0, 2), dtype=np.int64)
-    # int() refuses an id of more than ``limit`` digits; loadtxt reads one
+    tokens = _count_ids(data)
+    if tokens is None:
+        return None
+    # int() refuses an id of more than ``limit`` digits; fromstring reads one
     # below 2**63, which then has at least limit - 18 leading zeros
     limit = sys.get_int_max_str_digits()
     if limit and b"0" * (limit - 18) in data:
         return None
-    try:
-        ids = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
+    ids = np.fromstring(data, dtype=np.int64, count=tokens, sep=" ")
+    # fromstring reads an id beyond int64 as the int64 maximum
+    if ids.size and ids.max() == np.iinfo(np.int64).max:
         return None
-    # numpy 1 reads an id beyond int64 through a float, which casts back
-    # to the int64 minimum or, on some CPUs, the maximum
-    if ids.shape[1] != 2 or ids.min() < 0 or ids.max() == np.iinfo(np.int64).max:
-        return None
-    return ids
+    return ids.reshape(-1, 2)
+
+
+def _count_ids(data: bytes) -> int | None:
+    """The number of ids in ``data``, which holds only digits and blanks,
+    or None unless every line holds zero or two."""
+    arr = np.frombuffer(data, np.uint8)
+    # byte i is kept when arr[i - 1] < arr[i] - 15: every id's first digit
+    # (a digit less 15 lies in 33..42, above every blank and below every
+    # digit), every line end (10 - 15 wraps to 251), no other digit, and
+    # some other blanks, which the translate drops
+    kept = arr - np.uint8(15)
+    np.less(arr[:-1], kept[1:], out=kept[1:])
+    # the first byte has no predecessor: kept, as an id's first digit or a blank
+    kept[:1] = 1
+    events = arr[kept.view(bool)]
+    # freed before the copies below, which would otherwise add to the peak
+    del kept
+    # one byte per event: 1 at an id, 0 at a line end
+    kinds = events.tobytes().translate(bytes.maketrans(b"0123456789\n", b"\1" * 10 + b"\0"), b" \t\r")
+    ids = kinds.count(1)
+    # every line holds zero or two ids exactly when the runs of two or more,
+    # which count() finds once each, hold two ids each and all of them
+    return ids if (kinds + b"\0").count(b"\1\1\0") * 2 == ids else None
 
 
 def _read_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:

@@ -194,13 +194,24 @@ def _cmd_export(args) -> int:
 _RANDOM_DAG = {"nodes": 1_000_000, "density": 2.0, "seed": 0}
 
 
+def _read_utf8(path: str) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the
+    locale; ValueError names the line of the first byte that is not."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not UTF-8 text") from None
+
+
 def _cmd_bench(args) -> int:
     given = {name: getattr(args, name) for name in _RANDOM_DAG if getattr(args, name) is not None}
     if args.edges is not None:
         if given:
             raise ParseError(f"--{next(iter(given))} applies only to a random DAG, not to --edges")
-        with open(args.edges) as handle:
-            nodes, tails, heads = read_edge_list(handle.read())
+        nodes, tails, heads = read_edge_list(_read_utf8(args.edges))
         result = run_bench(nodes, verify=not args.skip_check, node_budget=args.max_size,
                            edges=(tails, heads))
     else:

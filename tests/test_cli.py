@@ -576,6 +576,12 @@ def test_bench_bad_edge_ids_exit_with_one_line(tmp_path, capsys, text, expected,
     assert err == f"error: {message}\n"
 
 
+def test_bench_edge_file_not_utf8_names_its_line(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    assert run(capsys, "bench", "--edges", str(path)) == (2, "", "error: line 2: not UTF-8 text\n")
+
+
 # -- errors and parser reuse ------------------------------------------------------
 
 
