@@ -10,13 +10,14 @@ and edges shuffled: thin levels that are not one-node paths),
 every edge).  Node
 counts run 10^4, 10^5, ... up to --max-nodes.  Each shape is written out
 as "u v" edge-list text and read back with ``read_edge_list``, and the
-layering runs on the edges read.  Each point records the wall seconds of
-generation, ingest (``seconds_ingest``, the read alone), the peel
-(``seconds_layering``) and the certificate (``seconds_check``), and
+layering runs on the edges read.  Each point records the median wall
+seconds, over ``REPEATS`` runs, of generation, ingest (``seconds_ingest``,
+the read alone), the peel (``seconds_layering``) and the certificate
+(``seconds_check``), and
 ``ingest_peak_mb``, the tracemalloc peak of a second, untimed read, in
 MiB, and ``layering_peak_mb``, the same for a second, untimed
 ``cb_layering`` on the edges read; ``agree`` says that the edges read
-equal the edges generated and that the layering passes its certificate.
+equal the edges generated and that every layering passes its certificate.
 One JSON line per point goes to stdout, and --out also writes them all
 to one JSON file.  Exits 1 if any point does not agree.
 
@@ -28,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -35,6 +37,9 @@ import tracemalloc
 import numpy as np
 
 from spectop.bench import cb_layering, random_dag, read_edge_list, run_bench
+
+# timed runs per phase and point; each point records their median seconds
+REPEATS = 3
 
 
 def _chain(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +65,17 @@ def _fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 def _dual_fan(nodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     points, hub = _fan(nodes, rng)
     return hub, points
+
+
+def _timed(function, *args):
+    """The median wall seconds of ``REPEATS`` calls of ``function(*args)``,
+    and the last call's result."""
+    seconds = []
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        result = function(*args)
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), result
 
 
 def _traced_peak(function, *args) -> int:
@@ -93,29 +109,27 @@ def main() -> int:
     nodes = 10_000
     while nodes <= args.max_nodes:
         for shape, generate in shapes.items():
-            started = time.perf_counter()
-            tails, heads = generate(nodes, np.random.default_rng(args.seed))
-            seconds_generation = time.perf_counter() - started
+            seconds_generation, (tails, heads) = _timed(
+                lambda: generate(nodes, np.random.default_rng(args.seed)))
             text = "".join(f"{u} {v}\n" for u, v in zip(tails.tolist(), heads.tolist()))
-            started = time.perf_counter()
-            _, tails_read, heads_read = read_edge_list(text)
-            seconds_ingest = time.perf_counter() - started
+            seconds_ingest, (_, tails_read, heads_read) = _timed(read_edge_list, text)
             ingest_peak = _traced_peak(read_edge_list, text)
-            result = run_bench(nodes, edges=(tails_read, heads_read))
+            results = [run_bench(nodes, edges=(tails_read, heads_read)) for _ in range(REPEATS)]
+            result = results[0]
             layering_peak = _traced_peak(cb_layering, nodes, tails_read, heads_read)
             point = {
                 "shape": shape,
                 "nodes": nodes,
                 "edges": result.edges,
                 "rank": result.rank,
-                "agree": bool(result.agree and np.array_equal(tails_read, tails)
+                "agree": bool(all(r.agree for r in results) and np.array_equal(tails_read, tails)
                               and np.array_equal(heads_read, heads)),
                 "seconds_generation": round(seconds_generation, 4),
                 "seconds_ingest": round(seconds_ingest, 4),
                 "ingest_peak_mb": round(ingest_peak / 2**20, 2),
-                "seconds_layering": round(result.seconds_layering, 4),
+                "seconds_layering": round(statistics.median(r.seconds_layering for r in results), 4),
                 "layering_peak_mb": round(layering_peak / 2**20, 2),
-                "seconds_check": round(result.seconds_check, 4),
+                "seconds_check": round(statistics.median(r.seconds_check for r in results), 4),
             }
             print(json.dumps(point), flush=True)
             points.append(point)

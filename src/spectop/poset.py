@@ -91,35 +91,6 @@ def _successors(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return succ
 
 
-def _backward_pass(peel: list[int], succ: list[list[int]]):
-    """Reachability bitsets and canonical covers in one pass over the peel
-    order reversed: ``(order, bit, up, covers)``.
-
-    ``order`` is ``peel`` reversed, so it lists the points top layer first,
-    and ``bit[v]`` is v's place in it; bit k of ``up[i]`` is set iff
-    i < ``order[k]``.  Taking a point's successors in peel order, a
-    successor is a cover exactly when no earlier successor already reaches
-    it.
-    """
-    order = peel[::-1]
-    bit = [0] * len(order)
-    for k, v in enumerate(order):
-        bit[v] = k
-    up = [0] * len(order)
-    covers = []
-    for v in order:
-        reach = 0
-        successors = succ[v]
-        if len(successors) > 1:
-            successors = sorted(successors, key=bit.__getitem__, reverse=True)
-        for w in successors:
-            if not reach >> bit[w] & 1:
-                covers.append((v, w))
-                reach |= up[w] | 1 << bit[w]
-        up[v] = reach
-    return order, bit, up, covers
-
-
 class FinitePoset:
     """A finite poset, i.e. a finite T_0 topological space.
 
@@ -137,19 +108,21 @@ class FinitePoset:
         # kept as the index, so a labelled build hashes its labels once
         self._index = labels if type(labels) is dict else {lab: i for i, lab in enumerate(self._labels)}
         n = len(self._labels)
-        # timsort is linear on sorted input, and sorting puts equal pairs side
-        # by side; tuple() returns a tuple pair itself and copies any other
-        pairs = sorted(map(tuple, cover_pairs))
-        pairs = [p for p, q in zip(pairs, pairs[1:]) if p != q] + pairs[-1:]
-        for a, b in pairs:
+        # one walk over the pairs sorted, so a repeat follows its twin (timsort
+        # is linear on sorted input; tuple() keeps a tuple pair, copies a list)
+        pairs, last = [], None
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for pair in sorted(map(tuple, cover_pairs)):
+            if pair == last:
+                continue
+            a, b = last = pair
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownLabelError(f"cover index out of range: {(a, b)}")
             if a == b:
                 raise CycleError(f"self-loop on {quote(self._labels[a])}")
-
-        succ = _successors(n, pairs)
-        indeg = [0] * n
-        for _, b in pairs:
+            pairs.append(pair)
+            succ[a].append(b)
             indeg[b] += 1
 
         # one peel: the points in the order the derivatives remove them, the
@@ -182,18 +155,40 @@ class FinitePoset:
 
     def _reach(self, succ: list[list[int]] | None = None) -> list[tuple[int, int]]:
         """Build the reachability index from each point's heads ``succ``, by
-        default from the covers, and return the covering pairs among them."""
+        default from the covers, and return the covering pairs among them.
+
+        One pass over ``order``, the peel reversed (top layer first; ``bit[v]``
+        is v's place in it, and bit k of ``up[i]`` is set iff i < ``order[k]``):
+        taking a point's successors in peel order, a successor is a cover
+        exactly when no earlier successor already reaches it.
+        """
         labels = self._labels
         if succ is None:
             succ = _successors(len(labels), self._covers)
-        order, self._bit, self._up, covers = _backward_pass(self._peel, succ)
+        order = self._peel[::-1]
+        bit = [0] * len(order)
+        for k, v in enumerate(order):
+            bit[v] = k
+        up = [0] * len(order)
+        covers = []
+        for v in order:
+            reach = 0
+            successors = succ[v]
+            if len(successors) > 1:
+                successors = sorted(successors, key=bit.__getitem__, reverse=True)
+            for w in successors:
+                if not reach >> bit[w] & 1:
+                    covers.append((v, w))
+                    reach |= up[w] | 1 << bit[w]
+            up[v] = reach
+        self._bit, self._up = bit, up
         # last: whoever finds _order set finds the bitsets set too
         self._order = [labels[v] for v in order]
         return covers
 
     def _lower(self) -> list[list[int]]:
         """Each point's lower covers, built from the covers on first use."""
-        self._below = _successors(len(self._labels), [(b, a) for a, b in self._covers])
+        self._below = _successors(len(self._labels), ((b, a) for a, b in self._covers))
         return self._below
 
     # -- basics --------------------------------------------------------
@@ -297,7 +292,7 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         """The Hochster dual: same elements, reversed order."""
-        return FinitePoset(self._labels, [(b, a) for a, b in self._covers])
+        return FinitePoset(self._index, [(b, a) for a, b in self._covers])
 
     # -- scatteredness -------------------------------------------------------
 
@@ -377,14 +372,17 @@ def disjoint_union(parts: Sequence[FinitePoset]) -> FinitePoset:
     part, so no prefixed label can collide with another."""
     if len(parts) == 1:
         return parts[0]
-    labels = [x for part in parts for x in part._labels]
-    if len(set(labels)) != len(labels):
-        labels = [f"s{k}_{x}" for k, part in enumerate(parts) for x in part._labels]
+    # one label -> position dict, handed to the constructor as its index; it
+    # is shorter than the parts' total exactly when two parts share a label
+    total = sum(map(len, parts))
+    index = dict(zip(chain.from_iterable(part._labels for part in parts), range(total)))
+    if len(index) != total:
+        index = dict(zip((f"s{k}_{x}" for k, part in enumerate(parts) for x in part._labels), range(total)))
     pairs, shift = [], 0
     for part in parts:
         pairs += [(a + shift, b + shift) for a, b in part._covers]
         shift += len(part)
-    return FinitePoset(labels, pairs)
+    return FinitePoset(index, pairs)
 
 
 def export(poset: FinitePoset, fmt: str) -> str:

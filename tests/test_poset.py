@@ -87,6 +87,17 @@ def test_cover_index_range_is_checked_before_self_loops(labels, pairs):
         FinitePoset(labels, pairs)
 
 
+@pytest.mark.parametrize("pairs, error, message", [
+    ([(1, 1), (0, 1), (0, 1), (0, 9)], UnknownLabelError, "cover index out of range: (0, 9)"),
+    ([(1, 0), (0, 0), (1, 0)], CycleError, "self-loop on 'a'"),
+    ([[0, 1], (0, 1), [1, 1]], CycleError, "self-loop on 'b'"),  # list pairs are accepted
+], ids=["range", "self-loop", "list-pairs"])
+def test_the_first_bad_pair_in_sorted_order_decides(pairs, error, message):
+    with pytest.raises(error) as raised:
+        FinitePoset(["a", "b"], pairs)
+    assert str(raised.value) == message
+
+
 def test_transitive_input_reduces_to_covers():
     direct = construct_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with_shortcut = construct_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
@@ -600,6 +611,22 @@ def test_retained_memory_per_point(shape, bound):
         tracemalloc.stop()
     assert len(p) == n and p.rank_int() == {"chain": n, "ladder": n // 2, "fan": 2}[shape]
     assert held <= bound * n
+
+
+def test_dual_retains_no_second_label_index():
+    """The traced bytes that ``dual()`` of a 50k chain keeps per point: it
+    shares the chain's label index, so it holds the peel, the covers and the
+    tables alone.  Building a second index read 137.1."""
+    n = 50_000
+    p = _labelled("chain", n)
+    tracemalloc.start()
+    try:
+        q = p.dual()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert q.elements == p.elements and q.rank_int() == n
+    assert held <= 100 * n
 
 
 # -- covers by layer gap, reachability on first use ---------------------------------
