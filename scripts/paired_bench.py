@@ -31,12 +31,17 @@ exactly when its run exits 0.
 --trace 1``) and appends one entry to the JSON list in FILE (made if
 missing): the two revisions, the workload, seed and pair count, the
 machine, every metric's row as printed, and each side's per-layer metrics
-from its traced run, so the entry says which layer moved.
+from its traced run, so the entry says which layer moved.  When the change
+side's ``src/`` or ``perfbench/`` differ from HEAD, the change is named
+``<HEAD>-dirty`` and the entry also holds ``change_tree_sha256``, a hash of
+the files that side ran (see ``tree_sha256``), which a later reader can
+match against any commit's tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -113,15 +118,42 @@ def traced_layers(root: str, args, seconds: float) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+# what the change side runs from this checkout, less what runs leave behind
+RUN_DIRS = ("src", "perfbench")
+LEFT_BEHIND = ("__pycache__", "results")
+
+
 def copy_checkout(dest: str) -> None:
     """Replace the ``src/``, ``perfbench/`` and ``BENCHMARK.json`` of the
     worktree ``dest`` with copies of this checkout's, less bytecode caches
     and the ``results/`` that benchmark runs leave."""
-    for name in ("src", "perfbench"):
+    for name in RUN_DIRS:
         shutil.rmtree(os.path.join(dest, name), ignore_errors=True)
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
-                        ignore=shutil.ignore_patterns("__pycache__", "results"))
+                        ignore=shutil.ignore_patterns(*LEFT_BEHIND))
     shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), dest)
+
+
+def tree_sha256(root: str) -> str:
+    """SHA-256 over the files of ``root`` that a benchmark run reads:
+    ``BENCHMARK.json`` and every file under ``src/`` and ``perfbench/``
+    except bytecode caches and ``results/``, in sorted order of their
+    '/'-separated relative paths, each as its path, a NUL byte, its size in
+    decimal, a NUL byte and its bytes.  A copy made by :func:`copy_checkout`
+    hashes like the checkout it was made from, and so does an export of a
+    commit whose tree holds the same files."""
+    paths = ["BENCHMARK.json"]
+    for name in RUN_DIRS:
+        for folder, dirs, files in os.walk(os.path.join(root, name)):
+            dirs[:] = [d for d in dirs if d not in LEFT_BEHIND]
+            paths += [os.path.relpath(os.path.join(folder, f), root).replace(os.sep, "/") for f in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(os.path.join(root, path), "rb") as handle:
+            data = handle.read()
+        digest.update(b"%s\0%d\0" % (path.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def revisions(base: str) -> tuple[str, str]:
@@ -136,16 +168,22 @@ def revisions(base: str) -> tuple[str, str]:
     return sha(base), sha("HEAD") + ("-dirty" if dirty else "")
 
 
-def record_entry(args, base: str, change: str, rows: dict, failing: bool, layers: dict) -> dict:
+def record_entry(args, base: str, change: str, rows: dict, failing: bool, layers: dict,
+                 change_tree: str) -> dict:
     """One entry of a ``--record`` file: ``rows`` are ``compare``'s rows by
-    metric, ``layers`` each side's traced per-layer metrics."""
+    metric, ``layers`` each side's traced per-layer metrics.  A ``-dirty``
+    change names no commit, so its entry also holds ``change_tree``, the
+    :func:`tree_sha256` of the files the change side ran."""
     import numpy
 
-    return {"base": base, "change": change, "workload": args.workload, "seed": args.seed,
-            "pairs": args.pairs,
-            "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
-                        "numpy": numpy.__version__},
-            "metrics": rows, "more_checks_fail": failing, "per_layer": layers}
+    entry = {"base": base, "change": change, "workload": args.workload, "seed": args.seed,
+             "pairs": args.pairs,
+             "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                         "numpy": numpy.__version__},
+             "metrics": rows, "more_checks_fail": failing, "per_layer": layers}
+    if change.endswith("-dirty"):
+        entry["change_tree_sha256"] = change_tree
+    return entry
 
 
 def append_record(path: str, entry: dict) -> None:
@@ -186,6 +224,7 @@ def main(argv=None) -> int:
             subprocess.run(["git", "worktree", "add", "--detach", roots[side], rev], cwd=ROOT, check=True,
                            stdout=subprocess.DEVNULL)
         copy_checkout(roots["change"])
+        change_tree = tree_sha256(roots["change"])
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
@@ -225,7 +264,8 @@ def main(argv=None) -> int:
     if worse:
         print(f"worse than the bound on the change: {', '.join(worse)}")
     if args.record:
-        append_record(args.record, record_entry(args, *revisions(args.base), rows, failing, layers))
+        append_record(args.record, record_entry(args, *revisions(args.base), rows, failing, layers,
+                                                change_tree))
     return 1 if failing or worse else 0
 
 

@@ -6,15 +6,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from spectop import (EmptySpaceError, ExplicitTopology, FinitePoset, RingEntry, SizeError,
-                     SuiteConfig, UnknownLabelError, count_posets_by_relation_filter,
-                     construct_poset,
+from spectop import (COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, EmptySpaceError, ExplicitTopology,
+                     FinitePoset, RingEntry, SizeError, SuiteConfig, UnknownLabelError, catalog,
+                     count_posets_by_relation_filter, construct_poset,
                      downset_topology, enumerate_labeled_posets, normalize,
                      oracle_rank, oracle_scattered, parse_expr, random_expr,
                      random_poset, run_property_suite)
 from spectop.oracle import (_LETTERS, LAW_MAX_SIZE, _check_poset_against_oracle,
-                            _closure_mask, _isolated_mask, _LabelSets, _Laws, _rank_fn,
-                            _subset_pool, find_isolated, rewrite_measure,
+                            _LabelSets, _Laws, _rank_fn, _root_rewrite, _subset_pool,
+                            _subset_tables, find_isolated, rewrite_measure,
                             rewrite_random_order, td_witness)
 
 from conftest import leq, posets, space_exprs
@@ -33,6 +33,48 @@ def all_subsets(labels):
     labels = list(labels)
     for mask in range(1 << len(labels)):
         yield frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+
+
+# -- the definitions, one subset at a time: the references for the oracle's tables --
+
+
+def _closure_mask(topo: ExplicitTopology, s: int) -> int:
+    """Smallest closed superset of mask ``s``: the meet of all closed supersets."""
+    full = (1 << len(topo.points)) - 1
+    meet = full
+    for u in topo.opens:
+        if not s & u:  # s lies in the closed set full - u
+            meet &= full ^ u
+    return meet
+
+
+def _isolated_mask(topo: ExplicitTopology, y: int) -> int:
+    """Points of mask ``y`` with an open U such that U * y is that point alone."""
+    out = 0
+    for u in topo.opens:
+        meet = u & y
+        if meet and not meet & (meet - 1):
+            out |= meet
+    return out
+
+
+def _rank_by_definition(topo: ExplicitTopology) -> int:
+    """Least number of derivative steps that empties the space."""
+    current = (1 << len(topo.points)) - 1
+    steps = 0
+    while current:
+        isolated = _isolated_mask(topo, current)
+        if not isolated:
+            raise AssertionError("derivative stalled on a finite space")
+        current &= ~isolated
+        steps += 1
+    return steps
+
+
+def _scattered_by_definition(topo: ExplicitTopology) -> bool:
+    """Every nonempty closed subset has an isolated point."""
+    full = (1 << len(topo.points)) - 1
+    return all(_isolated_mask(topo, full ^ u) for u in topo.opens if u != full)
 
 
 # -- the oracle's answers as label sets: the references for the poset methods --
@@ -126,6 +168,51 @@ def test_oracle_rank_and_scattered():
     assert oracle_scattered(downset_topology(chain("a", "b")))
 
 
+def _assert_tables_match_definitions(topo, masks):
+    closure, isolated = _subset_tables(topo)
+    assert len(closure) == len(isolated) == 1 << len(topo.points)
+    for s in masks:
+        assert (closure[s], isolated[s]) == (_closure_mask(topo, s), _isolated_mask(topo, s))
+    assert oracle_rank(topo) == _rank_by_definition(topo)
+    assert oracle_scattered(topo) == _scattered_by_definition(topo)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_subset_tables_match_the_definitions_on_every_poset_up_to_4_points(n):
+    for p in enumerate_labeled_posets(n):
+        _assert_tables_match_definitions(downset_topology(p), range(1 << n))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_subset_tables_match_the_definitions_on_drawn_posets(seed):
+    rng = random.Random(seed)
+    p = random_poset(seed, rng.randint(6, 10), rng.uniform(0.05, 0.6))
+    _assert_tables_match_definitions(downset_topology(p), range(1 << len(p)))
+
+
+def test_subset_tables_of_the_12_point_antichain():
+    # the discrete topology: 4096 opens, each subset its own closure, every point isolated
+    topo = downset_topology(construct_poset([f"v{i}" for i in range(12)], []))
+    assert len(topo.opens) == 4096
+    closure, isolated = _subset_tables(topo)
+    assert closure == isolated == list(range(4096))
+    rng = random.Random(12)
+    for s in [0, 4095] + [rng.randrange(4096) for _ in range(16)]:
+        assert (closure[s], isolated[s]) == (_closure_mask(topo, s), _isolated_mask(topo, s))
+    # the definitional scattered check would scan 4096 opens for each of 4096 closed sets
+    assert oracle_rank(topo) == _rank_by_definition(topo) == 1
+    assert oracle_scattered(topo)
+
+
+def test_oracle_rank_raises_when_a_derivative_stalls():
+    indiscrete = ExplicitTopology(("a", "b"), (0, 3))  # no point of {a, b} is isolated
+    with pytest.raises(AssertionError, match="^derivative stalled on a finite space$"):
+        oracle_rank(indiscrete)
+    with pytest.raises(AssertionError, match="^derivative stalled on a finite space$"):
+        _rank_by_definition(indiscrete)
+    assert not oracle_scattered(indiscrete)
+
+
 @given(posets(max_size=5))
 def test_fast_algorithms_match_oracle(p):
     topo = downset_topology(p)
@@ -179,9 +266,9 @@ def _check_case_by_case(poset, laws, rank, rng):
         laws.check("derivative-matches-oracle",
                    poset.derivative_in(subset) == decode[s & ~isolated],
                    poset=poset, subset=subset)
-    laws.check("rank-matches-oracle", rank(poset) == oracle_rank(topo), poset=poset)
+    laws.check("rank-matches-oracle", rank(poset) == _rank_by_definition(topo), poset=poset)
     laws.check("closed-subset-scattered-matches-oracle",
-               poset.scattered_via_closed_subsets() == oracle_scattered(topo), poset=poset)
+               poset.scattered_via_closed_subsets() == _scattered_by_definition(topo), poset=poset)
 
 
 def _corrupted():
@@ -345,10 +432,17 @@ def test_random_poset_is_valid_order():
 
 
 def test_random_poset_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size must be non-negative$"):
         random_poset(seed=0, size=-1, edge_density=0.5)
-    with pytest.raises(ValueError):
-        random_poset(seed=0, size=3, edge_density=1.5)
+    for density in (1.5, -0.01, 1.01):
+        with pytest.raises(ValueError, match=r"^edge_density must lie in \[0, 1\]$"):
+            random_poset(seed=0, size=3, edge_density=density)
+    # the ends of both ranges are accepted
+    assert random_poset(seed=0, size=0, edge_density=0.5) == construct_poset([], [])
+    antichain = random_poset(seed=0, size=5, edge_density=0.0)
+    assert len(antichain) == 5 and antichain.covers == () and antichain.height() == 0
+    total = random_poset(seed=0, size=5, edge_density=1.0)  # every forward pair an edge
+    assert len(total) == 5 and total.height() == 4
 
 
 def test_random_expr_deterministic():
@@ -430,6 +524,19 @@ def test_random_order_rewriting_is_confluent(e):
     assert nf == normalize(e)
 
 
+def test_a_rewrite_that_keeps_the_measure_is_reported(monkeypatch):
+    con_fan = Con(FAN)
+
+    def level_step(e):
+        # dual(fan) becomes con(fan), of the same measure 2, and then omega+1
+        return con_fan if e == Dual(FAN) else _root_rewrite(e)
+
+    assert rewrite_measure(Dual(FAN)) == rewrite_measure(con_fan) == 2
+    assert rewrite_random_order(Dual(FAN), random.Random(0)) == (COFAN, True)
+    monkeypatch.setattr("spectop.oracle._root_rewrite", level_step)
+    assert rewrite_random_order(Dual(FAN), random.Random(0)) == (OMEGA_PLUS_ONE, False)
+
+
 def test_rewrite_measure_positive():
     assert rewrite_measure(random_expr(random.Random(0), 4)) >= 1
 
@@ -445,6 +552,50 @@ def test_suite_small_config_passes():
     assert report.passed
     assert report.poset_counts == {0: 1, 1: 1, 2: 3, 3: 19}
     assert report.cross_check_counts == {0: 1, 1: 1, 2: 3, 3: 19}
+
+
+# every law of one small run with its case count, in the order the run records
+# them: a law that stops running, or skips a case, changes this list
+_PINNED_CONFIG = SuiteConfig(seed=0, exhaustive_max=3, oracle_random_count=5, oracle_random_size=8,
+                             law_random_count=6, law_random_size=7, corpus_count=40, corpus_depth=4)
+# the 24 posets of at most 3 points check 1 + 2 + 3 * 4 + 19 * 8 = 167 subsets;
+# the oracle block draws posets of 6, 0, 4, 8 and 7 points, which check
+# 34 + 1 + 16 + 34 + 34 = 119 (at most 32 drawn subsets plus the empty and full
+# sets); the law block draws posets of 6, 3, 3, 6, 2 and 3 points (23 in all)
+_PINNED_SUBSET_CASES = 167 + 119
+_PINNED_CASES = [
+    *((name, _PINNED_SUBSET_CASES) for name in (
+        "closure-matches-oracle", "open-test-matches-oracle", "isolated-matches-oracle",
+        "derivative-matches-oracle")),
+    ("rank-matches-oracle", 24 + 5), ("closed-subset-scattered-matches-oracle", 24 + 5),
+    ("poset-enumeration-cross-check", 4),
+    ("dual-involution", 6), ("rank-is-height-plus-one", 6), ("rank-invariant-under-dual", 6),
+    ("scattered-via-closed-subsets", 6), ("dual-scattered-via-closed-subsets", 6),
+    ("td-witness-is-open", 23), ("constructive-isolated-point", 6), ("json-roundtrip", 6),
+    ("sum-rank-is-max", 5), ("derivative-distributes-over-sum", 5),
+    ("normal-form-has-no-dual-con", 40), ("normalize-idempotent", 40), ("self-duality", 40),
+    ("dual-involution-on-expressions", 40),
+    # every tenth expression is rewritten in a random order
+    ("rewrite-measure-decreases", 4), ("random-order-rewriting-confluent", 4),
+    ("scattered-implies-td", 40), ("scattered-passes-to-patch", 40),
+    # the laws that only some of the seed's 40 expressions reach
+    ("td-patch-scattered-equivalence", 34), ("patch-obstruction-forces-ltg-failure", 9),
+    ("finite-space-analysis-agrees-with-poset", 5),
+]
+
+
+def test_every_law_runs_its_pinned_number_of_cases():
+    report = run_property_suite(_PINNED_CONFIG)
+    assert report.passed
+    entries = catalog()
+    inconclusive = sum(1 for e in entries if e.expect_inconclusive)
+    gallery = [("gallery-verdict-computes", len(entries)),
+               ("gallery-known-truth-matches",
+                sum(1 for e in entries if not e.expect_inconclusive and e.known_truth is not None)),
+               ("non-sufficiency-stays-inconclusive", inconclusive),
+               ("non-sufficiency-never-generates", inconclusive)]
+    assert [(law.name, law.cases) for law in report.laws] == _PINNED_CASES + gallery
+    assert report.poset_counts == {0: 1, 1: 1, 2: 3, 3: 19}
 
 
 def test_suite_catches_injected_rank_mutation():
@@ -521,6 +672,15 @@ def test_suite_sizes_at_the_bound_are_accepted():
                                             oracle_random_size=12, law_random_count=0,
                                             corpus_count=0, check_gallery=False))
     assert report.passed
+    # at the lower bounds: empty random posets and expressions of depth 1
+    report = run_property_suite(dataclasses.replace(
+        SuiteConfig.empty(), oracle_random_count=3, oracle_random_size=0, law_random_count=3,
+        law_random_size=0, corpus_count=5, corpus_depth=1))
+    assert report.passed
+    cases = {law.name: law.cases for law in report.laws}
+    # each empty poset has one subset, the empty set
+    assert cases["closure-matches-oracle"] == 3 and cases["rank-of-empty-is-zero"] == 3
+    assert cases["normalize-idempotent"] == 5
 
 
 def _flip_first(answer, subset):

@@ -200,3 +200,50 @@ def test_both_sides_run_from_fresh_copies_in_one_temp_dir(monkeypatch, capsys, t
     assert str(checkout) not in seen and not temp.exists()
     assert git == [["worktree", "add", "--detach", "abc123"], ["worktree", "add", "--detach", "HEAD"],
                    ["worktree", "remove", "--force"], ["worktree", "remove", "--force"]]
+
+
+def _fake_checkout(root):
+    for path, text in (("src/pkg/mod.py", "x = 1\n"), ("src/pkg/__pycache__/mod.pyc", "cache"),
+                       ("perfbench/run.py", "print()\n"), ("perfbench/results/trace.json", "{}"),
+                       ("BENCHMARK.json", "{}\n"), ("tests/test_x.py", "")):
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text)
+
+
+def test_the_tree_hash_is_the_same_for_both_copies_and_changes_with_one_byte(monkeypatch, tmp_path):
+    checkout, copy = tmp_path / "checkout", tmp_path / "copy"
+    _fake_checkout(checkout)
+    copy.mkdir()
+    monkeypatch.setattr(paired_bench, "ROOT", str(checkout))
+    paired_bench.copy_checkout(str(copy))
+    digest = paired_bench.tree_sha256(str(checkout))
+    assert len(digest) == 64 and paired_bench.tree_sha256(str(copy)) == digest
+    # what runs leave behind, and files the runs do not read, do not count
+    (checkout / "perfbench/results/trace.json").write_text("[]")
+    (checkout / "tests/test_x.py").write_text("changed")
+    assert paired_bench.tree_sha256(str(checkout)) == digest
+    for path in ("src/pkg/mod.py", "perfbench/run.py", "BENCHMARK.json"):
+        data = (copy / path).read_bytes()
+        (copy / path).write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        assert paired_bench.tree_sha256(str(copy)) != digest
+        (copy / path).write_bytes(data)
+        assert paired_bench.tree_sha256(str(copy)) == digest
+    # a file moved to another path with the same bytes is another tree
+    (copy / "src/pkg/mod.py").rename(copy / "src/pkg/other.py")
+    assert paired_bench.tree_sha256(str(copy)) != digest
+
+
+@pytest.mark.parametrize("change", ["c" * 40, "c" * 40 + "-dirty"])
+def test_a_dirty_change_records_the_hash_of_the_tree_it_ran(monkeypatch, capsys, tmp_path, change):
+    monkeypatch.setattr(paired_bench, "traced_layers", lambda root, args, seconds: {})
+    monkeypatch.setattr(paired_bench, "revisions", lambda base: ("b" * 40, change))
+    path = tmp_path / "BENCH_paired.json"
+    assert _run_main(monkeypatch, {}, extra=["--record", str(path)]) == 0
+    capsys.readouterr()
+    (entry,) = json.loads(path.read_text())
+    assert entry["change"] == change
+    if change.endswith("-dirty"):
+        # the change side runs copies of this checkout's files
+        assert entry["change_tree_sha256"] == paired_bench.tree_sha256(paired_bench.ROOT)
+    else:
+        assert "change_tree_sha256" not in entry
