@@ -27,15 +27,16 @@ that share is larger or any end-to-end metric is marked worse than its
 bound, and 0 otherwise, so a change that claims no gain passes a workload
 exactly when its run exits 0.
 
-``--record FILE`` also makes one traced run per side (``perfbench/run.py
---trace 1``) and appends one entry to the JSON list in FILE (made if
-missing): the two revisions, the workload, seed and pair count, the
-machine, every metric's row as printed, and each side's per-layer metrics
-from its traced run, so the entry says which layer moved.  When the change
-side's ``src/`` or ``perfbench/`` differ from HEAD, the change is named
-``<HEAD>-dirty`` and the entry also holds ``change_tree_sha256``, a hash of
-the files that side ran (see ``tree_sha256``), which a later reader can
-match against any commit's tree.
+``--record FILE`` also makes three traced runs per side (``perfbench/run.py
+--trace 1``), alternating which side goes first, and appends one entry to
+the JSON list in FILE (made if missing): the two revisions, the workload,
+seed and pair count, the machine, every metric's row as printed, and each
+side's per-layer metrics, each the median of that side's traced runs, so
+the entry says which layer moved and one slow traced run does not move it.
+When the change side's ``src/`` or ``perfbench/`` differ from HEAD, the
+change is named ``<HEAD>-dirty`` and the entry also holds
+``change_tree_sha256``, a hash of the files that side ran (see
+``tree_sha256``), which a later reader can match against any commit's tree.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
 ALPHA = 0.05
+TRACED_RUNS = 3
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -118,6 +120,18 @@ def traced_layers(root: str, args, seconds: float) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def median_layers(roots: dict, args, seconds: float) -> dict:
+    """Each side's per-layer metrics, each the median of ``TRACED_RUNS``
+    traced runs of that side; the runs go in pairs that alternate which
+    side goes first, as the untraced ones do."""
+    runs = {side: [] for side in roots}
+    for i in range(TRACED_RUNS):
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            runs[side].append(traced_layers(roots[side], args, seconds))
+    return {side: {name: statistics.median(run[name] for run in side_runs) for name in side_runs[0]}
+            for side, side_runs in runs.items()}
+
+
 # what the change side runs from this checkout, less what runs leave behind
 RUN_DIRS = ("src", "perfbench")
 LEFT_BEHIND = ("__pycache__", "results")
@@ -171,7 +185,7 @@ def revisions(base: str) -> tuple[str, str]:
 def record_entry(args, base: str, change: str, rows: dict, failing: bool, layers: dict,
                  change_tree: str) -> dict:
     """One entry of a ``--record`` file: ``rows`` are ``compare``'s rows by
-    metric, ``layers`` each side's traced per-layer metrics.  A ``-dirty``
+    metric, ``layers`` each side's median per-layer metrics.  A ``-dirty``
     change names no commit, so its entry also holds ``change_tree``, the
     :func:`tree_sha256` of the files the change side ran."""
     import numpy
@@ -233,7 +247,7 @@ def main(argv=None) -> int:
                   f"{runs['base'][-1]['values']['wall_s']:.4g}, change {runs['change'][-1]['values']['wall_s']:.4g}",
                   file=sys.stderr)
         if args.record:
-            layers = {side: traced_layers(roots[side], args, spec["run_seconds"]) for side in roots}
+            layers = median_layers(roots, args, spec["run_seconds"])
     finally:
         for root in roots.values():
             subprocess.run(["git", "worktree", "remove", "--force", root], cwd=ROOT, check=False)

@@ -1,8 +1,10 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -10,7 +12,7 @@ import spectop
 from spectop import cli
 from spectop.bench import MAX_NODES
 from spectop.cli import main
-from spectop.errors import QUOTE_PREFIX, quote
+from spectop.errors import QUOTE_PREFIX, ConflictError, ParseError, SizeError, quote
 from spectop.gallery import FAN_MAX_POINTS, catalog
 from spectop.oracle import LAW_MAX_SIZE
 from spectop.poset import FinitePoset
@@ -858,3 +860,124 @@ _FAN_30 = [f"p{i}" for i in range(1, 31)] + ["m"]
 ], ids=["fan-json", "fan-dot", "sum-clash-json", "sum-clash-dot"])
 def test_export_output_is_pinned(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
+
+
+# -- the collector paused per request ---------------------------------------------
+
+
+def _set_collector(on: bool):
+    (gc.enable if on else gc.disable)()
+
+
+@pytest.fixture
+def collector():
+    """Whatever a test does to the cyclic garbage collector is undone."""
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+@pytest.mark.parametrize("raised,code", [(None, 0), (ParseError("bad"), 2), (ConflictError("clash"), 3),
+                                         (SizeError("too big"), 4), (MemoryError(), 4),
+                                         (RuntimeError("a bug"), None)],
+                         ids=["exit-0", "exit-2", "exit-3", "exit-4", "out-of-memory", "unexpected"])
+@pytest.mark.parametrize("before", [True, False], ids=["on", "off"])
+def test_the_collector_is_paused_while_the_command_runs(capsys, monkeypatch, collector, raised, code, before):
+    """Off inside the command body; after it, however it ends, on again
+    only if it was on when the request began."""
+    seen = []
+    load = cli._load_space
+
+    def recording(text):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return load(text)
+
+    monkeypatch.setattr(cli, "_load_space", recording)
+    _set_collector(before)
+    if code is None:
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["eval", "fan", "--json"])
+    else:
+        assert main(["eval", "fan", "--json"]) == code
+    capsys.readouterr()
+    assert seen == [False]
+    assert gc.isenabled() is before
+
+
+@pytest.mark.parametrize("argv", [["verdict", "fan", "--frobnicate"], ["verdict", "fan", "--n"], ["verd", "fan"],
+                                  ["--help"], ["verdict", "-h"]],
+                         ids=["unknown-option", "missing-value", "unknown-command", "help", "command-help"])
+@pytest.mark.parametrize("before", [True, False], ids=["on", "off"])
+def test_usage_errors_and_help_leave_the_collector_alone(capsys, monkeypatch, collector, argv, before):
+    """argparse runs, and exits, before the pause begins."""
+    seen = []
+    exit_ = argparse.ArgumentParser.exit
+
+    def recording(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        exit_(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "exit", recording)
+    _set_collector(before)
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert seen == [before]
+    assert gc.isenabled() is before
+
+
+def test_requests_overlapping_on_threads_leave_the_collector_on(capsys, collector):
+    """The pause is process-wide and spans every request running at once:
+    however requests on several threads interleave, each gets its own exit
+    code and the collector is on once all have ended."""
+    requests = [(["verdict", "fan", "--n", "300", "--json"], 0), (["eval", "sum(fan,"], 2),
+                (["verdict", "idempotent", "--n", "40"], 4), (["export", "fan", "--n", "30"], 0)]
+    codes = {}
+
+    def client(k):
+        argv, _ = requests[k % len(requests)]
+        codes[k] = [main(argv) for _ in range(25)]
+
+    gc.enable()
+    threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == {k: [requests[k % len(requests)][1]] * 25 for k in range(8)}
+    assert gc.isenabled()
+
+
+# requests that reach a command body, refusals included, and their exit codes
+_BODY_REQUESTS = [
+    (["verdict", "fan", "--json"], 0), (["verdict", "fan", "--n", "2000", "--json"], 0),
+    (["verdict", "fin{a,b,c;a<b,b<c}", "--gabriel", "--json"], 0), (["verdict", "idempotent", "--n", "4"], 0),
+    (["eval", "sum(dual(fan), con(fin{a,b;a<b}))", "--json"], 0), (["eval", "tower(w*2 + 1)"], 0),
+    (["eval", "dual(" * 600 + "fan" + ")" * 600, "--json"], 0),
+    (["export", "fan", "--n", "50", "--format", "dot"], 0), (["export", "sum(fin{a;}, fin{a;})"], 0),
+    (["ring"], 0), (["ring", "idempotent", "--n", "3", "--json"], 0),
+    (["eval", "sum(fan,", "--json"], 2), (["eval", "fin{a,b;a<c}"], 2), (["verdict", "fan", "--n", "abc"], 2),
+    (["export", "cantor"], 2), (["eval", "@no-such-poset.json"], 2), (["ring", "nothing"], 2),
+    (["verdict", "cantor", "--gabriel", "--json"], 3), (["verdict", "neeman_ring", "--absolutely-flat"], 3),
+    (["verdict", "idempotent", "--n", "40", "--json"], 4), (["export", "fan", "--n", str(FAN_MAX_POINTS)], 4),
+]
+
+
+def test_requests_leave_no_cyclic_garbage(capsys):
+    """The pause defers nothing: all that a request leaves behind is freed
+    by reference counting, so a collection right after it finds nothing."""
+    cli._build_parser()  # built before any pause; building leaves argparse's own cycles
+    gc.collect()
+    for argv, code in _BODY_REQUESTS:
+        assert main(argv) == code, argv
+        assert gc.collect() == 0, argv
+    capsys.readouterr()

@@ -1,3 +1,6 @@
+import random
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -360,6 +363,14 @@ class _TokenWalkParser(_Parser):
             raise ParseError(f"bad finite poset: {exc}", self.start(head_at)) from None
 
 
+class _SlicedOnlyParser(_Parser):
+    """The parser with the token walk taken away: a fin{...} body that the
+    sliced read declines fails the parse."""
+
+    def _fin_tokens(self):
+        raise AssertionError("the sliced read declined a fin{...} body")
+
+
 def _outcome(parser, text):
     try:
         return parser(text).parse()
@@ -369,8 +380,10 @@ def _outcome(parser, text):
 
 def _mutate(text, rng):
     """One of: a dropped or doubled "," or "<", a swapped "<"/",", the
-    "}" dropped, a section emptied, or whitespace inserted."""
-    kind = rng.randrange(6)
+    "}" dropped, a section emptied, whitespace inserted, or a token that
+    a fin{...} body never holds ("+", "(", ...) inserted or put in place
+    of a word."""
+    kind = rng.randrange(8)
     marks = [i for i, ch in enumerate(text) if ch in ",<"]
     if kind == 0 and marks:
         i = rng.choice(marks)
@@ -388,8 +401,15 @@ def _mutate(text, rng):
         semi = text.find(";")
         return rng.choice([text[:text.find("{") + 1] + text[semi:],
                            text[:semi + 1] + text[text.find("}", semi):]])
+    foreign = rng.choice(["+", "(", ")", "{", "@", "-", "."])
+    words = list(re.finditer(r"\w+", text))
+    if kind == 7 and words:
+        word = rng.choice(words)
+        return text[:word.start()] + foreign + text[word.end():]
     i = rng.randrange(len(text) + 1)
-    return text[:i] + rng.choice([" ", "\t\n", "  　 "]) + text[i:]
+    if kind == 5:
+        return text[:i] + rng.choice([" ", "\t\n", "  　 "]) + text[i:]
+    return text[:i] + foreign + text[i:]
 
 
 @given(posets(max_size=6), posets(max_size=3), st.integers(0, 3), st.randoms(use_true_random=False))
@@ -400,7 +420,8 @@ def test_sliced_fin_read_matches_the_token_walk(p, q, mutations, rng):
         text = text.replace("fin{", "sum(fin{", 1) + ", " + print_expr(Fin(q)) + ")"
     for _ in range(mutations):
         text = _mutate(text, rng)
-    assert _outcome(_Parser, text) == _outcome(_TokenWalkParser, text)
+    # an unmutated text is well formed, so the sliced read must take it
+    assert _outcome(_Parser if mutations else _SlicedOnlyParser, text) == _outcome(_TokenWalkParser, text)
 
 
 @pytest.mark.parametrize("text", [
@@ -408,6 +429,41 @@ def test_sliced_fin_read_matches_the_token_walk(p, q, mutations, rng):
     "fin{a;a<}", "fin{a,b;a<b,}", "fin{a,b;a<b b<a}", "fin{a,b;a<b;}", "fin{a,b;a,b}",
     "fin{a,b;a<<b}", "fin{a,b;a<b", "fin{a,b", "fin{a,b;a<b,,b<a}", "fin{ a , b ; a < b }",
     "sum(fin{a, fin{b;})", "sum(fin{a;}, fin{b;a<b})", "fin{a;a<a}", "fin{a,a;}", "fin{a,b;a<b,b<a}",
+    # a foreign token in one place of a body that is otherwise well formed
+    "fin{+;}", "fin{a,(;}", "fin{a,b;+<b}", "fin{a,b;a<+}", "fin{a,b,c;a<b,c<)}",
+    "fin{a,b,c,d;a<b,c,d}", "fin{a,b,c,d;a<b,c<d<b<d}", "fin{a,b,c,d;a<b,c<d,b+d}",
 ])
 def test_sliced_fin_read_examples(text):
     assert _outcome(_Parser, text) == _outcome(_TokenWalkParser, text)
+
+
+def _shaped_fin(shape, n, rng):
+    """fin{...} text as the verdicts workload writes it: shuffled labels
+    v0, v1, ... in a chain, an antichain, or each point above up to three
+    random earlier points."""
+    labels = [f"v{i}" for i in rng.sample(range(n), n)]
+    if shape == "chain":
+        covers = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "antichain":
+        covers = []
+    else:
+        covers = sorted({(rng.randrange(b), b) for b in range(1, n) for _ in range(rng.randint(0, 3))})
+    return "fin{" + ",".join(labels) + ";" + ",".join(f"{labels[a]}<{labels[b]}" for a, b in covers) + "}"
+
+
+@pytest.mark.parametrize("shape", ["chain", "antichain", "random"])
+def test_benchmark_shaped_fin_text_takes_the_sliced_read(shape):
+    """A sliced read that sent such text to the token walk would lose its
+    speed unseen: the answer is the same either way."""
+    text = _shaped_fin(shape, 300, random.Random(7))
+    assert _outcome(_SlicedOnlyParser, text) == _outcome(_TokenWalkParser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "fin{a,b;a<b}", "fin{;}", "fin{a;}", "fin{;a<b}", "fin{ a , b ; a < b }", "fin{\ta,\nb;a\n<b}",
+    "fin{é,ß_1;é<ß_1}", "sum(fin{a;}, fin{b;a<b})",
+    # well formed, refused by construct_poset
+    "fin{a;a<a}", "fin{a,a;}", "fin{a,b;a<b,b<a}", "fin{a,b;a<c}",
+])
+def test_well_formed_fin_bodies_take_the_sliced_read(text):
+    assert _outcome(_SlicedOnlyParser, text) == _outcome(_TokenWalkParser, text)

@@ -144,6 +144,31 @@ def test_record_appends_one_entry_per_run(monkeypatch, capsys, tmp_path):
     assert second["more_checks_fail"] and second["metrics"]["wall_s"]["ties"] == 3
 
 
+def test_record_keeps_the_median_of_three_alternating_traced_runs_per_side(monkeypatch, capsys, tmp_path):
+    """One slow traced run, such as the change's first here, moves no
+    recorded per-layer metric."""
+    traced = {"base": [{"cli.self_s": 0.09, "oracle.cases": 7}, {"cli.self_s": 0.11, "oracle.cases": 7},
+                       {"cli.self_s": 0.10, "oracle.cases": 7}],
+              "change": [{"cli.self_s": 0.50, "oracle.cases": 7}, {"cli.self_s": 0.07, "oracle.cases": 7},
+                         {"cli.self_s": 0.08, "oracle.cases": 7}]}
+    order = []
+
+    def traced_layers(root, args, seconds):
+        side = os.path.basename(root)
+        order.append(side)
+        return traced[side][order.count(side) - 1]
+
+    monkeypatch.setattr(paired_bench, "traced_layers", traced_layers)
+    monkeypatch.setattr(paired_bench, "revisions", lambda base: ("b" * 40, "c" * 40))
+    path = tmp_path / "BENCH_paired.json"
+    assert _run_main(monkeypatch, {}, extra=["--record", str(path)]) == 0
+    capsys.readouterr()
+    assert order == ["base", "change", "change", "base", "base", "change"]
+    (entry,) = json.loads(path.read_text())
+    assert entry["per_layer"] == {"base": {"cli.self_s": 0.10, "oracle.cases": 7},
+                                  "change": {"cli.self_s": 0.08, "oracle.cases": 7}}
+
+
 def test_record_refuses_smoke_runs(monkeypatch, capsys, tmp_path):
     with pytest.raises(SystemExit):
         _run_main(monkeypatch, {}, extra=["--smoke", "--record", str(tmp_path / "x.json")])
@@ -196,7 +221,8 @@ def test_both_sides_run_from_fresh_copies_in_one_temp_dir(monkeypatch, capsys, t
                               "--record", str(record)]) == 0
     capsys.readouterr()
     roots = [str(temp / "base"), str(temp / "change")]
-    assert seen == roots + roots[::-1] + roots
+    # two untraced pairs, then three traced ones
+    assert seen == roots + roots[::-1] + roots + roots[::-1] + roots
     assert str(checkout) not in seen and not temp.exists()
     assert git == [["worktree", "add", "--detach", "abc123"], ["worktree", "add", "--detach", "HEAD"],
                    ["worktree", "remove", "--force"], ["worktree", "remove", "--force"]]
