@@ -33,8 +33,9 @@ the JSON list in FILE (made if missing): the two revisions, the workload,
 seed and pair count, the machine, every metric's row as printed, and each
 side's per-layer metrics, each the median of that side's traced runs, so
 the entry says which layer moved and one slow traced run does not move it.
-When the change side's ``src/`` or ``perfbench/`` differ from HEAD, the
-change is named ``<HEAD>-dirty`` and the entry also holds
+When the change side's ``src/``, ``perfbench/`` or ``BENCHMARK.json``
+differ from HEAD, untracked files included, the change is named
+``<HEAD>-dirty`` and the entry also holds
 ``change_tree_sha256``, a hash of the files that side ran (see
 ``tree_sha256``), which a later reader can match against any commit's tree.
 """
@@ -172,13 +173,16 @@ def tree_sha256(root: str) -> str:
 
 def revisions(base: str) -> tuple[str, str]:
     """The commit ids of ``base`` and of this checkout's HEAD, the latter
-    with ``-dirty`` when ``src/`` or ``perfbench/``, which the runs read,
-    differ from it."""
+    with ``-dirty`` when ``src/``, ``perfbench/`` or ``BENCHMARK.json``,
+    which the runs read, differ from it: an edited, deleted or untracked
+    file counts, an ignored one (a bytecode cache, a run's ``results/``)
+    does not."""
     def sha(rev):
         return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, stdout=subprocess.PIPE, text=True,
                               check=True).stdout.strip()
 
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"], cwd=ROOT).returncode
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", *RUN_DIRS, "BENCHMARK.json"], cwd=ROOT,
+                           stdout=subprocess.PIPE, text=True, check=True).stdout
     return sha(base), sha("HEAD") + ("-dirty" if dirty else "")
 
 

@@ -62,8 +62,7 @@ def _parse_n(raw: str | None):
 def _load_space(text: str):
     """An expression, or '@file' naming a poset JSON file to replay."""
     if text.startswith("@"):
-        with open(text[1:]) as handle:
-            return Fin(FinitePoset.from_json(handle.read()))
+        return Fin(FinitePoset.from_json(_read_utf8(text[1:])))
     return parse_expr(text)
 
 
@@ -175,7 +174,6 @@ def _cmd_oracle(args) -> int:
         law_random_count=0,
         corpus_count=0,
         check_gallery=False,
-        mutate=args.mutate,
     )
     return _report_exit(args, run_property_suite(config))
 
@@ -190,7 +188,6 @@ def _cmd_fuzz(args) -> int:
         corpus_count=args.count,
         corpus_depth=args.depth,
         check_gallery=True,
-        mutate=args.mutate,
     )
     return _report_exit(args, run_property_suite(config))
 
@@ -289,7 +286,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--count", type=int, default=1000, help="random posets to check")
     p.add_argument("--max-size", type=int, default=10, dest="max_size")
     p.add_argument("--exhaustive-max", type=int, default=5, dest="exhaustive_max")
-    p.add_argument("--mutate", default=None, help=argparse.SUPPRESS)
     add_json(p)
     p.set_defaults(func=_cmd_oracle)
 
@@ -298,7 +294,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--max-size", type=int, default=40, dest="max_size")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--mutate", default=None, help=argparse.SUPPRESS)
     add_json(p)
     p.set_defaults(func=_cmd_fuzz)
 

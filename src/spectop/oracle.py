@@ -49,7 +49,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .analysis import FieldsGenerate, Ltg, analyze, evaluate
 from .dsl import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fan, CoFan,
@@ -431,7 +431,9 @@ class SuiteConfig:
 
     ``oracle_subset_samples`` and ``law_upset_budget`` are constants, not
     fields.  ``law_upset_budget`` is inert: finite scatteredness is decided
-    by theorem, so no block reads it.
+    by theorem, so no block reads it.  No field injects a fault: the laws
+    call the production methods (``FinitePoset.rank_int``, ``closure``, ...),
+    so a fault test patches the method under test.
     """
 
     oracle_subset_samples: ClassVar[int] = 32
@@ -447,7 +449,6 @@ class SuiteConfig:
     corpus_count: int = 1000
     corpus_depth: int = 6
     check_gallery: bool = True
-    mutate: str | None = None
 
     @classmethod
     def empty(cls) -> "SuiteConfig":
@@ -548,14 +549,6 @@ def _as_json(value):
     return value
 
 
-def _rank_fn(config: SuiteConfig) -> Callable[[FinitePoset], int]:
-    if config.mutate is None:
-        return lambda p: p.rank_int()
-    if config.mutate == "rank-off-by-one":
-        return lambda p: p.rank_int() + 1
-    raise ValueError(f"unknown mutation {config.mutate!r}")
-
-
 def _prefixed(poset: FinitePoset, prefix: str) -> FinitePoset:
     labels = [prefix + x for x in poset.elements]
     return construct_poset(labels, [(prefix + a, prefix + b) for a, b in poset.covers])
@@ -592,14 +585,12 @@ _SUBSET_LAWS = ("closure-matches-oracle", "open-test-matches-oracle",
                 "isolated-matches-oracle", "derivative-matches-oracle")
 
 
-def _check_poset_against_oracle(poset, laws, rank, rng, decode=None):
+def _check_poset_against_oracle(poset, laws, rng, decode):
     """The oracle laws on one poset.  ``decode`` is the label-set table of
     the poset's labels, which a run shares among posets with the same
-    labels; by default the poset gets a table of its own."""
+    labels."""
     topo = downset_topology(poset)  # topo.points is poset.elements
     closure, isolated = _subset_tables(topo)
-    if decode is None:
-        decode = _LabelSets(poset.elements)
     pool = _subset_pool(len(poset), SuiteConfig.oracle_subset_samples, rng)
 
     def outcomes(s: int) -> tuple[bool, bool, bool, bool]:
@@ -616,7 +607,7 @@ def _check_poset_against_oracle(poset, laws, rank, rng, decode=None):
         for s in pool:
             for name, ok in zip(_SUBSET_LAWS, outcomes(s)):
                 laws.check(name, ok, poset=poset, subset=decode[s])
-    laws.check("rank-matches-oracle", rank(poset) == _rank_from(isolated), poset=poset)
+    laws.check("rank-matches-oracle", poset.rank_int() == _rank_from(isolated), poset=poset)
     laws.check("closed-subset-scattered-matches-oracle",
                poset.scattered_via_closed_subsets() == _scattered_from(topo, isolated), poset=poset)
 
@@ -640,15 +631,15 @@ def find_isolated(poset: FinitePoset) -> tuple[str, frozenset[str], frozenset[st
     return x, frozenset([x]), td_witness(poset, x)[0]
 
 
-def _check_finite_space_laws(poset, previous, laws, rank):
+def _check_finite_space_laws(poset, previous, laws):
     dual = poset.dual()
     laws.check("dual-involution", dual.dual() == poset, poset=poset)
-    r = rank(poset)
+    r = poset.rank_int()
     if len(poset):
         laws.check("rank-is-height-plus-one", r == poset.height() + 1, poset=poset, rank=r)
     else:
         laws.check("rank-of-empty-is-zero", r == 0, poset=poset, rank=r)
-    laws.check("rank-invariant-under-dual", rank(dual) == r, poset=poset)
+    laws.check("rank-invariant-under-dual", dual.rank_int() == r, poset=poset)
     laws.check("scattered-via-closed-subsets", poset.scattered_via_closed_subsets(), poset=poset)
     laws.check("dual-scattered-via-closed-subsets", dual.scattered_via_closed_subsets(),
                poset=poset)
@@ -664,7 +655,8 @@ def _check_finite_space_laws(poset, previous, laws, rank):
         left = _prefixed(previous, "l_")
         right = _prefixed(poset, "r_")
         union = disjoint_union([left, right])
-        laws.check("sum-rank-is-max", rank(union) == max(rank(left), rank(right)), poset=poset)
+        laws.check("sum-rank-is-max", union.rank_int() == max(left.rank_int(), right.rank_int()),
+                   poset=poset)
         der = union.derivative_in(union.elements)
         expected = left.derivative_in(left.elements) | right.derivative_in(right.elements)
         laws.check("derivative-distributes-over-sum", der == expected, poset=poset)
@@ -745,7 +737,6 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
                         f"exceed the bound of {LAW_MAX_SIZE}")
     started = time.perf_counter()
     laws = _Laws()
-    rank = _rank_fn(config)
     rng = random.Random(config.seed)
     poset_counts: dict[int, int] = {}
     cross_counts: dict[int, int] = {}
@@ -760,7 +751,7 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         decode = tables.get(labels)
         if decode is None:
             decode = tables[labels] = _LabelSets(labels)
-        _check_poset_against_oracle(poset, laws, rank, rng, decode)
+        _check_poset_against_oracle(poset, laws, rng, decode)
 
     def lap(block: str) -> None:
         nonlocal clock
@@ -792,7 +783,7 @@ def run_property_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         poset = random_poset(rng.randrange(1 << 30),
                              rng.randint(0, config.law_random_size),
                              rng.uniform(0.02, 0.5))
-        _check_finite_space_laws(poset, previous, laws, rank)
+        _check_finite_space_laws(poset, previous, laws)
         previous = poset
     lap("finite_laws")
 

@@ -3,7 +3,7 @@ from graphlib import TopologicalSorter
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fin,
+from spectop import (CANTOR, COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, Fin, FinitePoset,
                      Ordinal, Sum, Tower, construct_poset)
 
 settings.register_profile(
@@ -41,6 +41,13 @@ def leq(poset):
         for y in succ[x]:
             above[x] |= above[y]
     return lambda a, b: b in above[a]
+
+
+def patch_rank_off_by_one(monkeypatch):
+    """Make ``FinitePoset.rank_int`` answer one more than the rank: the
+    fault that the rank laws of the suite must catch."""
+    rank_int = FinitePoset.rank_int
+    monkeypatch.setattr(FinitePoset, "rank_int", lambda self: rank_int(self) + 1)
 
 
 def cb_layers(poset) -> list[frozenset]:

@@ -17,6 +17,8 @@ from spectop.gallery import FAN_MAX_POINTS, catalog
 from spectop.oracle import LAW_MAX_SIZE
 from spectop.poset import FinitePoset
 
+from conftest import patch_rank_off_by_one
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -307,11 +309,9 @@ def test_oracle_run_that_checks_nothing_exit_2(capsys, json_flag):
         2, "", "error: nothing to check: --exhaustive-max -1 and --count 0 skip both oracle blocks\n")
 
 
-def test_oracle_mutation_exit_1(capsys):
-    code, lines, _ = run_json(
-        capsys, "oracle", "--exhaustive-max", "2", "--count", "3",
-        "--mutate", "rank-off-by-one"
-    )
+def test_oracle_mutation_exit_1(capsys, monkeypatch):
+    patch_rank_off_by_one(monkeypatch)
+    code, lines, _ = run_json(capsys, "oracle", "--exhaustive-max", "2", "--count", "3")
     assert code == 1
     assert lines[0]["passed"] is False
 
@@ -448,7 +448,28 @@ def test_poset_json_replay_bad_shape_exit_2(tmp_path, capsys, document):
 
 
 def test_poset_json_replay_missing_file_exit_2(capsys):
-    assert run(capsys, "eval", "@/nonexistent.json")[0] == 2
+    code, out, err = run(capsys, "eval", "@/nonexistent.json")
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] ")
+
+
+@pytest.mark.parametrize("command", ["eval", "verdict", "export"])
+def test_poset_json_replay_not_utf8_names_its_line(tmp_path, capsys, command):
+    path = tmp_path / "poset.json"
+    path.write_bytes(b'{"labels": ["a"],\n "covers": ["\xff"]}')
+    assert run(capsys, command, f"@{path}") == (2, "", "error: line 2: not UTF-8 text\n")
+
+
+def test_poset_json_replay_reads_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_bytes(json.dumps({"labels": ["\u00e9", "b"], "covers": [["\u00e9", "b"]]},
+                                ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(spectop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    done = subprocess.run([sys.executable, "-m", "spectop.cli", "eval", f"@{path}", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["analysis"]["cb_rank"] == "2"
 
 
 # -- bench ----------------------------------------------------------------------------
@@ -768,8 +789,13 @@ options:
     (["verdict", "-h"], 0, _VERDICT_HELP, ""),
     (["bench", "--edges", "f", "--nodes", "3"], 2, "",
      "error: --nodes applies only to a random DAG, not to --edges\n"),
+    # a fault is injected by patching the method under test, not by an option
+    (["oracle", "--mutate", "rank-off-by-one"], 2, "",
+     _USAGE + "spectop: error: unrecognized arguments: --mutate rank-off-by-one\n"),
+    (["fuzz", "--mutate", "rank-off-by-one"], 2, "",
+     _USAGE + "spectop: error: unrecognized arguments: --mutate rank-off-by-one\n"),
 ], ids=["nothing", "help", "abbreviated", "option-first", "unknown-option", "missing-value",
-        "missing-target", "command-help", "bench-options"])
+        "missing-target", "command-help", "bench-options", "oracle-mutate", "fuzz-mutate"])
 def test_usage_errors_and_help_are_pinned(capsys, monkeypatch, argv, code, out, err):
     """The text of the two-level argparse pass, whichever parser answers."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width

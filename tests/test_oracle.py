@@ -13,11 +13,11 @@ from spectop import (COFAN, FAN, OMEGA_PLUS_ONE, Con, Dual, EmptySpaceError, Exp
                      oracle_rank, oracle_scattered, parse_expr, random_expr,
                      random_poset, run_property_suite)
 from spectop.oracle import (_LETTERS, LAW_MAX_SIZE, _check_poset_against_oracle,
-                            _LabelSets, _Laws, _rank_fn, _root_rewrite, _subset_pool,
+                            _LabelSets, _Laws, _root_rewrite, _subset_pool,
                             _subset_tables, find_isolated, rewrite_measure,
                             rewrite_random_order, td_witness)
 
-from conftest import leq, posets, space_exprs
+from conftest import leq, patch_rank_off_by_one, posets, space_exprs
 
 
 def chain(*labels):
@@ -238,7 +238,7 @@ def test_oracle_catches_a_spurious_reachability_bit():
     p = _corrupted()
     assert p.closure(["a"]) == {"a", "b", "c", "d"}
     laws = _Laws()
-    _check_poset_against_oracle(p, laws, _rank_fn(SuiteConfig()), random.Random(0))
+    _check_poset_against_oracle(p, laws, random.Random(0), _LabelSets(p.elements))
     failures = {r.name: r.failures for r in laws.results()}
     # every one of the 16 subsets is drawn; 4 hold a but not d, 4 hold both
     assert failures["closure-matches-oracle"] == 4
@@ -246,7 +246,7 @@ def test_oracle_catches_a_spurious_reachability_bit():
     assert failures["derivative-matches-oracle"] == 4
 
 
-def _check_case_by_case(poset, laws, rank, rng):
+def _check_case_by_case(poset, laws, rng):
     """The oracle laws on one poset with every case recorded on its own: the
     reference that the suite's per-poset tally must reproduce exactly."""
     topo = downset_topology(poset)
@@ -266,7 +266,7 @@ def _check_case_by_case(poset, laws, rank, rng):
         laws.check("derivative-matches-oracle",
                    poset.derivative_in(subset) == decode[s & ~isolated],
                    poset=poset, subset=subset)
-    laws.check("rank-matches-oracle", rank(poset) == _rank_by_definition(topo), poset=poset)
+    laws.check("rank-matches-oracle", poset.rank_int() == _rank_by_definition(topo), poset=poset)
     laws.check("closed-subset-scattered-matches-oracle",
                poset.scattered_via_closed_subsets() == _scattered_by_definition(topo), poset=poset)
 
@@ -283,19 +283,25 @@ _SMALL = [p for n in range(5) for p in enumerate_labeled_posets(n)]
 _DRAWN = [random_poset(seed=n, size=n, edge_density=0.3) for n in range(6, 11)]
 
 
-@pytest.mark.parametrize("posets, mutate, failures", [
-    (_SMALL + _DRAWN, None, 0),
+@pytest.mark.parametrize("posets, rank_off_by_one, failures", [
+    (_SMALL + _DRAWN, False, 0),
     # each corrupted poset fails 4 subsets in each of 3 laws
-    (_SMALL[:30] + [_corrupted()] + _DRAWN + [_corrupted()], None, 24),
-    (_SMALL + _DRAWN, "rank-off-by-one", len(_SMALL + _DRAWN)),
+    (_SMALL[:30] + [_corrupted()] + _DRAWN + [_corrupted()], False, 24),
+    (_SMALL + _DRAWN, True, len(_SMALL + _DRAWN)),
 ], ids=["every-poset-up-to-4", "corrupted-bit", "rank-off-by-one"])
-def test_per_poset_tally_records_what_case_by_case_checks_record(posets, mutate, failures):
-    rank = _rank_fn(SuiteConfig(mutate=mutate))
+def test_per_poset_tally_records_what_case_by_case_checks_record(monkeypatch, posets,
+                                                                 rank_off_by_one, failures):
+    if rank_off_by_one:
+        patch_rank_off_by_one(monkeypatch)
+
+    def tally(poset, laws, rng):
+        _check_poset_against_oracle(poset, laws, rng, _LabelSets(poset.elements))
+
     runs = []
-    for check in (_check_case_by_case, _check_poset_against_oracle):
+    for check in (_check_case_by_case, tally):
         laws, rng = _Laws(), random.Random(11)
         for p in posets:
-            check(p, laws, rank, rng)
+            check(p, laws, rng)
         runs.append((laws.results(), rng.getstate()))
     assert runs[0] == runs[1]
     assert sum(law.failures for law in runs[0][0]) == failures
@@ -598,10 +604,11 @@ def test_every_law_runs_its_pinned_number_of_cases():
     assert report.poset_counts == {0: 1, 1: 1, 2: 3, 3: 19}
 
 
-def test_suite_catches_injected_rank_mutation():
+def test_suite_catches_injected_rank_mutation(monkeypatch):
+    patch_rank_off_by_one(monkeypatch)
     report = run_property_suite(
         SuiteConfig(exhaustive_max=2, oracle_random_count=5, law_random_count=5,
-                    corpus_count=0, check_gallery=False, mutate="rank-off-by-one")
+                    corpus_count=0, check_gallery=False)
     )
     assert not report.passed
     broken = {law.name for law in report.laws if law.failures}
@@ -719,8 +726,9 @@ def _counterexamples(**blocks):
     return {law.name: law.counterexample for law in report.laws if law.failures}
 
 
-def test_rank_counterexample_names_the_rank():
-    assert _counterexamples(law_random_count=6, law_random_size=2, mutate="rank-off-by-one") == {
+def test_rank_counterexample_names_the_rank(monkeypatch):
+    patch_rank_off_by_one(monkeypatch)
+    assert _counterexamples(law_random_count=6, law_random_size=2) == {
         "rank-is-height-plus-one": {"poset": {"labels": ["v0"], "covers": []}, "rank": 2},
         "rank-of-empty-is-zero": {"poset": {"labels": [], "covers": []}, "rank": 1},
     }
@@ -801,9 +809,10 @@ def test_label_sets_decode_each_mask_once():
     assert decode[5] is decode[5] and len(decode) == 8
 
 
-def test_suite_rejects_unknown_mutation():
-    with pytest.raises(ValueError):
-        run_property_suite(SuiteConfig(mutate="nope"))
+def test_suite_config_has_no_mutation_field():
+    # a fault is injected by patching the method under test, not by a setting
+    with pytest.raises(TypeError):
+        SuiteConfig(mutate="rank-off-by-one")
 
 
 def test_suite_rejects_exhaustive_max_below_minus_one():

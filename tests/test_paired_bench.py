@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -273,3 +274,30 @@ def test_a_dirty_change_records_the_hash_of_the_tree_it_ran(monkeypatch, capsys,
         assert entry["change_tree_sha256"] == paired_bench.tree_sha256(paired_bench.ROOT)
     else:
         assert "change_tree_sha256" not in entry
+
+
+def _git(root, *args):
+    identity = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", *identity, *args], cwd=root, check=True, stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("edit, dirty", [
+    (None, False),
+    ("src/pkg/new.py", True),  # untracked
+    ("src/pkg/mod.py", True),
+    ("BENCHMARK.json", True),
+    ("perfbench/results/new.json", False),  # ignored, as are bytecode caches
+    ("src/pkg/__pycache__/new.pyc", False),
+    ("tests/test_x.py", False),  # tracked, but no run reads it
+])
+def test_revisions_mark_every_change_the_runs_read_as_dirty(monkeypatch, tmp_path, edit, dirty):
+    _fake_checkout(tmp_path)
+    (tmp_path / ".gitignore").write_text("__pycache__/\nperfbench/results/\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "fake checkout")
+    if edit is not None:
+        (tmp_path / edit).write_text("changed\n")
+    monkeypatch.setattr(paired_bench, "ROOT", str(tmp_path))
+    base, change = paired_bench.revisions("HEAD")
+    assert change == base + ("-dirty" if dirty else "")
